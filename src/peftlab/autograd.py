@@ -5,6 +5,14 @@ Calling ``backward()`` on a scalar (or any tensor, with an explicit output
 gradient) walks the recorded graph in reverse topological order and
 accumulates gradients into every leaf with ``requires_grad=True``.
 
+Backward computes only gradients that are kept: an op skips every operand
+that is neither a trainable leaf nor a recorded node, so frozen weights cost
+no weight-gradient work. Interior nodes adopt the gradient array they are
+handed, and several nodes may share one array. That is safe because no op
+mutates a ``.grad`` in place; accumulation always builds a new array. Leaves
+(and the root's explicit output gradient) take a private copy, so a leaf's
+``.grad`` never aliases another array.
+
 Only the operations the encoder, adapter, and convolutional heads need are
 provided; there is no general broadcasting beyond what those layers use.
 """
@@ -77,7 +85,8 @@ class Tensor:
                     f"got shape {self.data.shape}"
                 )
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64)
+        else:
+            grad = np.array(grad, dtype=np.float64)  # the caller keeps theirs
         if grad.shape != self.data.shape:
             raise ShapeError(
                 f"output gradient shape {grad.shape} does not match tensor "
@@ -112,18 +121,25 @@ def _toposort(root):
     return order
 
 
+def _needs_grad(tensor):
+    """True for a trainable leaf or a recorded node: its gradient is used."""
+    return tensor.requires_grad or tensor._backward is not None
+
+
 def _accumulate(tensor, grad):
-    if not tensor.requires_grad and tensor._backward is None:
+    if not _needs_grad(tensor):
         return
     if tensor.grad is None:
-        tensor.grad = np.array(grad, dtype=np.float64, copy=True)
+        if tensor._backward is None:  # a leaf keeps a private copy
+            grad = np.array(grad, dtype=np.float64)
+        tensor.grad = grad
     else:
         tensor.grad = tensor.grad + grad
 
 
 def _node(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(_needs_grad(p) for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -156,8 +172,10 @@ def add(a, b):
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -170,8 +188,10 @@ def mul(a, b):
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward)
 
@@ -210,7 +230,7 @@ def gelu(x):
     """Gaussian error linear unit, tanh approximation."""
     x = _as_tensor(x)
     v = x.data
-    inner = _SQRT_2_OVER_PI * (v + _GELU_C * v**3)
+    inner = _SQRT_2_OVER_PI * (v + _GELU_C * (v * v * v))
     t = np.tanh(inner)
     out = 0.5 * v * (1.0 + t)
 
@@ -263,6 +283,8 @@ def concat(tensors, axis=0):
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if not _needs_grad(t):
+                continue
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             _accumulate(t, g[tuple(idx)])
@@ -316,8 +338,10 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if _needs_grad(a):
+            _accumulate(a, g @ b.data.T)
+        if _needs_grad(b):
+            _accumulate(b, a.data.T @ g)
 
     return _node(data, (a, b), backward)
 
@@ -353,8 +377,12 @@ def layer_norm(x, gain, bias, eps=1e-12):
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        if _needs_grad(gain):
+            _accumulate(gain, (g * xhat).sum(axis=lead))
+        if _needs_grad(bias):
+            _accumulate(bias, g.sum(axis=lead))
+        if not _needs_grad(x):
+            return
         dxhat = g * gain.data
         dx = inv_std * (
             dxhat
@@ -409,9 +437,12 @@ def conv1d(x, filters, padding):
     flat_filters = filters.data.reshape(n_filters, width * channels)
 
     def backward(g):
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (width, channels))
-        windows = windows.reshape(out_len, width * channels)
-        _accumulate(filters, (g.T @ windows).reshape(filters.data.shape))
+        if _needs_grad(filters):
+            windows = np.lib.stride_tricks.sliding_window_view(
+                xp, (width, channels)).reshape(out_len, width * channels)
+            _accumulate(filters, (g.T @ windows).reshape(filters.data.shape))
+        if not _needs_grad(x):
+            return
         gwin = (g @ flat_filters).reshape(out_len, width, channels)
         gxp = np.zeros_like(xp)
         for j in range(width):
@@ -468,6 +499,8 @@ def embedding_lookup(table, ids):
         )
 
     def backward(g):
+        if not _needs_grad(table):  # a frozen table gets no dense gradient
+            return
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
         _accumulate(table, gt)

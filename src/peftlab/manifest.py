@@ -156,6 +156,19 @@ def _build_spec(label, section):
             f'[{label}] head must be "affine_span" or "cacnn", got {head_kind!r}'
         )
 
+    dataset_len = _get_int(section.get("dataset_len", "64"), "dataset_len",
+                           label)
+    if dataset_len > config.max_seq_len:
+        raise ManifestError(
+            f"[{label}] dataset_len {dataset_len} exceeds max_seq_len "
+            f"{config.max_seq_len}"
+        )
+    if head != "affine_span":
+        try:
+            cacnn_mod.validate(head, dataset_len, config.hidden_size)
+        except ValueError as exc:
+            raise ManifestError(f"[{label}] {exc}") from exc
+
     train_config = TrainConfig(
         batch_size=_get_int(section.get("batch_size", "8"), "batch_size", label),
         epochs=_get_int(section.get("epochs", "3"), "epochs", label),
@@ -174,8 +187,7 @@ def _build_spec(label, section):
         train_config=train_config,
         dataset_count=_get_int(section.get("dataset_count", "2000"),
                                "dataset_count", label),
-        dataset_len=_get_int(section.get("dataset_len", "64"),
-                             "dataset_len", label),
+        dataset_len=dataset_len,
         unanswerable_fraction=_get_float(
             section.get("unanswerable_fraction", str(1.0 / 3.0)),
             "unanswerable_fraction", label),

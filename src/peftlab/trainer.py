@@ -48,17 +48,38 @@ class Adam:
         self.v = {n: np.zeros_like(t.data) for n, t in registry.trainable_items()}
 
     def step(self):
+        """Update, in place, every trainable tensor that has a gradient.
+
+        The result is bit-identical to the textbook expressions
+
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            data -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
+
+        because the in-place steps keep their operation order. Each tensor
+        needs two temporaries instead of one per operation.
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for name, tensor in self.registry.trainable_items():
             g = tensor.grad
             if g is None:
                 continue
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            scratch = np.multiply(1 - b1, g)
+            m *= b1
+            m += scratch
+            np.multiply(1 - b2, g, out=scratch)
+            scratch *= g
+            v *= b2
+            v += scratch
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            update = np.divide(m, c1)
+            update *= self.lr
+            update /= scratch
+            tensor.data -= update
 
     def zero_grad(self):
         for _, tensor in self.registry.items():

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used only by tests.
 
 These deliberately share no code with the library: plain Python loops over
-numpy scalars, so they can serve as oracles for the vectorized paths.
+numpy scalars, or textbook whole-array expressions, so they can serve as
+oracles for the vectorized and in-place paths.
 """
 
 import numpy as np
@@ -70,3 +71,12 @@ def decode_span_enumeration(start_logits, end_logits, max_answer_len):
         if sc > best_score:
             best_span, best_score = span, sc
     return best_span
+
+
+def adam_reference(data, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One textbook Adam step (Kingma & Ba); returns new (data, m, v)."""
+    m = beta1 * m + (1 - beta1) * g
+    v = beta2 * v + (1 - beta2) * g * g
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    return data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v

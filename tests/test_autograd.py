@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,3 +233,53 @@ class TestTapeProperties:
         out = ag.layer_norm(ag.softmax(x, 1), Tensor(np.ones(8)),
                             Tensor(np.zeros(8)))
         assert np.all(np.isfinite(out.data))
+
+
+class TestLeanBackward:
+    def test_leaf_gradients_do_not_alias(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        ag.sum_all(ag.add(a, b)).backward()
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize("root_is_leaf", [False, True])
+    def test_output_gradient_is_copied(self, root_is_leaf):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        root = x if root_is_leaf else ag.add(ag.tanh(x), w)
+        g = rng.standard_normal((3, 4))
+        root.backward(g)
+        tensors = [t for t in (root, x, w) if t.grad is not None]
+        before = [t.grad.copy() for t in tensors]
+        g[...] = 7.0
+        for t, want in zip(tensors, before):
+            assert np.array_equal(t.grad, want)
+
+    @pytest.mark.parametrize("freeze_after_forward", [False, True])
+    def test_frozen_embedding_table_gets_no_dense_gradient(
+            self, freeze_after_forward):
+        rng = np.random.default_rng(14)
+        table = Tensor(rng.standard_normal((50000, 64)),
+                       requires_grad=freeze_after_forward)
+        w = Tensor(rng.standard_normal((16, 64)), requires_grad=True)
+        ids = rng.integers(0, 50000, size=16)
+        out = ag.sum_all(ag.mul(ag.embedding_lookup(table, ids), w))
+        table.requires_grad = False
+        tracemalloc.start()
+        try:
+            out.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.grad is None
+        assert w.grad is not None
+        assert peak < table.data.nbytes
+
+    def test_gelu_matches_pow_form(self):
+        v = np.random.default_rng(15).standard_normal(10_000) * 4.0
+        want = 0.5 * v * (1.0 + np.tanh(
+            math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)))
+        got = ag.gelu(Tensor(v)).data
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-14

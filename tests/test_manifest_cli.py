@@ -184,6 +184,26 @@ class TestRun:
         assert [r["label"] for r in again] == ["tiny-full", "tiny-frozen"]
         assert again[0] == kept
 
+    def test_dataset_len_beyond_max_seq_len_exit_code(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, "[long]\ndataset_len = 100\n")
+        with pytest.raises(ManifestError, match="exceeds max_seq_len 64"):
+            parse_manifest(manifest)
+        code = cli.main(["run", "--manifest", manifest,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "[long] dataset_len 100" in capsys.readouterr().err
+
+    def test_infeasible_simplified_cacnn_exit_code(self, tmp_path, capsys):
+        manifest = write_manifest(
+            tmp_path, "[simp]\nhead = cacnn\nvariant = simplified\nn_f = 1\n"
+                      "dataset_len = 24\n")
+        with pytest.raises(ManifestError, match="simplified CACNN needs"):
+            parse_manifest(manifest)
+        code = cli.main(["run", "--manifest", manifest,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "[simp] simplified CACNN needs" in capsys.readouterr().err
+
     def test_bad_manifest_exit_code(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, "[a]\nbogus_key = 1\n")
         code = cli.main(["run", "--manifest", manifest,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peftlab import autograd as ag
 from peftlab import encoder as enc
 from peftlab.encoder import AdapterConfig, FreezePolicy, desk_config
 from peftlab.span import generate_dataset
@@ -9,6 +10,7 @@ from peftlab.trainer import (Adam, Model, TrainConfig, TrainingDiverged,
                              train)
 
 import pinned_values
+from oracles import adam_reference
 
 
 def small_setup(k=1, embeddings=False, adapter=None, count=24, seed=0):
@@ -77,10 +79,54 @@ class TestTrain:
         opt = Adam(model.registry, lr=1e-3)
         assert set(opt.m) == {n for n, _ in model.registry.trainable_items()}
 
+    def test_only_trainable_leaves_receive_gradients(self, monkeypatch):
+        model, ds = small_setup(k=0, count=8)
+        handed = []
+        accumulate = ag._accumulate
+
+        def spy(tensor, grad):
+            if tensor._backward is None:
+                handed.append(tensor)
+            accumulate(tensor, grad)
+
+        monkeypatch.setattr(ag, "_accumulate", spy)
+        result = train(model, ds, TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert len(result.loss_history) == 1
+        assert handed and all(t.requires_grad for t in handed)
+        got = {id(t) for t in handed}
+        for name, tensor in model.registry.trainable_items():
+            assert id(tensor) in got, name
+
     def test_train_seconds_nonnegative(self):
         model, ds = small_setup(count=8)
         result = train(model, ds, TrainConfig(epochs=1, seed=0))
         assert result.train_seconds >= 0.0
+
+
+class TestAdam:
+    def test_matches_textbook_reference_bitwise(self):
+        rng = np.random.default_rng(7)
+        reg = enc.ParameterRegistry()
+        shapes = {"w": (6, 5), "b": (5,), "f": (2, 3, 4)}
+        for name, shape in shapes.items():
+            reg.add(name, rng.standard_normal(shape))
+        ref = {n: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
+               for n, t in reg.items()}
+        opt = Adam(reg, lr=1e-2)
+        for t in (1, 2, 3):
+            for name, tensor in reg.items():
+                if name == "b" and t == 2:
+                    tensor.grad = None  # no gradient: no update this step
+                    continue
+                tensor.grad = (rng.standard_normal(tensor.shape)
+                               * 10.0 ** rng.integers(-6, 3))
+                ref[name] = adam_reference(*ref[name], tensor.grad, t, lr=1e-2)
+            opt.step()
+            for name, tensor in reg.items():
+                data, m, v = ref[name]
+                assert np.array_equal(tensor.data, data), (name, t)
+                assert np.array_equal(opt.m[name], m), (name, t)
+                assert np.array_equal(opt.v[name], v), (name, t)
 
 
 class _StubModel:
