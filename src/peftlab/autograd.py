@@ -13,8 +13,10 @@ mutates a ``.grad`` in place; accumulation always builds a new array. Leaves
 (and the root's explicit output gradient) take a private copy, so a leaf's
 ``.grad`` never aliases another array.
 
-Only the operations the encoder, adapter, and convolutional heads need are
-provided; there is no general broadcasting beyond what those layers use.
+Every op takes optional leading batch axes, so one graph serves a whole
+mini-batch: a single example is a batch with no leading axis. Only the
+operations the encoder, adapter, and convolutional heads need are provided;
+there is no general broadcasting beyond what those layers use.
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ def _as_tensor(x):
 
 def _unbroadcast(grad, shape):
     """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
     for axis, dim in enumerate(shape):
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -332,16 +335,29 @@ def sum_all(x):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
+    """[..., M, K] @ [K, N] (a shared weight) or [..., M, K] @ [..., K, N]."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if (a.data.ndim < 2 or b.data.ndim < 2
+            or a.data.shape[-1] != b.data.shape[-2]
+            or b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
+    k = a.data.shape[-1]
+    shared = b.data.ndim == 2
+    if shared:  # one gemm over every leading row
+        n = b.data.shape[1]
+        data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+    else:
+        data = a.data @ b.data
 
     def backward(g):
         if _needs_grad(a):
-            _accumulate(a, g @ b.data.T)
-        if _needs_grad(b):
-            _accumulate(b, a.data.T @ g)
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        if not _needs_grad(b):
+            return
+        if shared:
+            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+        else:
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), backward)
 
@@ -359,6 +375,65 @@ def softmax(x, axis):
         _accumulate(x, y * (g - dot))
 
     return _node(y, (x,), backward)
+
+
+def attention(q, k, v, scale, mask_bias=None):
+    """Scaled dot-product attention, softmax(q @ kᵀ * scale + mask_bias) @ v.
+
+    q is [..., L, d]; k and v are [..., L', d] with the same leading axes
+    (for multi-head attention, [B, A, L, d]). ``mask_bias`` is None or a
+    constant (array or Tensor; it gets no gradient) that broadcasts against
+    the [..., L, L'] scores. The op performs the steps of the chain matmul,
+    scale, add, softmax, matmul in their order, but in place and one
+    leading-index slice at a time, and its backward is that chain's
+    backward. The only score-sized array it keeps is the probabilities.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.data.ndim < 2 or k.data.shape != v.data.shape
+            or q.data.shape[:-2] != k.data.shape[:-2]
+            or q.data.shape[-1] != k.data.shape[-1]):
+        raise ShapeError(
+            f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = float(scale)
+    kt = np.swapaxes(k.data, -1, -2)
+    probs = np.empty(q.data.shape[:-1] + (k.data.shape[-2],))
+    mask = (None if mask_bias is None
+            else np.broadcast_to(_as_tensor(mask_bias).data, probs.shape))
+    slices = list(np.ndindex(probs.shape[:-3]))
+    for i in slices:
+        p = probs[i]
+        np.matmul(q.data[i], kt[i], out=p)
+        p *= scale
+        if mask is not None:
+            p += mask[i]
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+    data = probs @ v.data
+
+    def backward(g):
+        if _needs_grad(v):
+            _accumulate(v, np.swapaxes(probs, -1, -2) @ g)
+        if not (_needs_grad(q) or _needs_grad(k)):
+            return
+        gq = np.empty(q.data.shape)
+        gkt = np.empty(kt.shape)
+        qt = np.swapaxes(q.data, -1, -2)
+        vt = np.swapaxes(v.data, -1, -2)
+        for i in slices:
+            p = probs[i]
+            gs = g[i] @ vt[i]                       # d probs
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p                                 # d (scaled, masked) scores
+            gs *= scale
+            np.matmul(gs, k.data[i], out=gq[i])
+            np.matmul(qt[i], gs, out=gkt[i])
+        if _needs_grad(q):
+            _accumulate(q, gq)
+        if _needs_grad(k):
+            _accumulate(k, np.swapaxes(gkt, -1, -2))
+
+    return _node(data, (q, k, v), backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-12):
@@ -395,19 +470,24 @@ def layer_norm(x, gain, bias, eps=1e-12):
 
 
 def conv1d(x, filters, padding):
-    """Cross-correlation of x [L, C] with filters [K, w, C] -> [L', K].
+    """Cross-correlation of x [..., L, C] with filters [K, w, C] -> [..., L', K].
 
+    Filters of shape [..., K, w, C], with the leading axes of x, are
+    per-sample: each leading index is convolved with its own filters.
     ``padding`` is "same" (zero padded, extra pad on the right for even
     widths, L' = L) or "valid" (L' = L - w + 1).
     """
     x, filters = _as_tensor(x), _as_tensor(filters)
-    if x.data.ndim != 2 or filters.data.ndim != 3:
+    lead = x.data.shape[:-2]
+    if (x.data.ndim < 2 or filters.data.ndim < 3
+            or filters.data.shape[:-3] not in ((), lead)):
         raise ShapeError(
-            f"conv1d: expected x [L,C] and filters [K,w,C], got {x.shape} and "
-            f"{filters.shape}"
+            f"conv1d: expected x [...,L,C] and filters [K,w,C] or [...,K,w,C], "
+            f"got {x.shape} and {filters.shape}"
         )
-    length, channels = x.data.shape
-    n_filters, width, f_channels = filters.data.shape
+    per_sample = filters.data.ndim > 3
+    length, channels = x.data.shape[-2:]
+    n_filters, width, f_channels = filters.data.shape[-3:]
     if channels != f_channels:
         raise ShapeError(
             f"conv1d: channel mismatch, x has {channels}, filters have {f_channels}"
@@ -425,58 +505,60 @@ def conv1d(x, filters, padding):
     else:
         raise ValueError(f"conv1d: unknown padding {padding!r}")
 
-    xp = np.pad(x.data, ((pad_left, pad_right), (0, 0)))
-    out_len = xp.shape[0] - width + 1
+    xp = np.pad(x.data, [(0, 0)] * len(lead) + [(pad_left, pad_right), (0, 0)])
+    out_len = xp.shape[-2] - width + 1
     # accumulate tap by tap in (offset, channel) order; this keeps the
     # summation order identical to a naive sliding-window loop, so results
     # are reproducible bit-for-bit against simple reference code
-    data = np.zeros((out_len, n_filters))
+    data = np.zeros(lead + (out_len, n_filters))
     for j in range(width):
         for c in range(channels):
-            data += np.outer(xp[j:j + out_len, c], filters.data[:, j, c])
-    flat_filters = filters.data.reshape(n_filters, width * channels)
+            data += xp[..., j:j + out_len, c, None] * filters.data[..., None, :, j, c]
+    flat_filters = filters.data.reshape(filters.data.shape[:-2] + (-1,))
 
     def backward(g):
         if _needs_grad(filters):
-            windows = np.lib.stride_tricks.sliding_window_view(
-                xp, (width, channels)).reshape(out_len, width * channels)
-            _accumulate(filters, (g.T @ windows).reshape(filters.data.shape))
+            windows = np.swapaxes(np.lib.stride_tricks.sliding_window_view(
+                xp, width, axis=-2), -1, -2).reshape(
+                    lead + (out_len, width * channels))
+            if per_sample:
+                gf = np.swapaxes(g, -1, -2) @ windows
+            else:  # one gemm over every leading row
+                gf = (g.reshape(-1, n_filters).T
+                      @ windows.reshape(-1, width * channels))
+            _accumulate(filters, gf.reshape(filters.data.shape))
         if not _needs_grad(x):
             return
-        gwin = (g @ flat_filters).reshape(out_len, width, channels)
+        gwin = (g @ flat_filters).reshape(lead + (out_len, width, channels))
         gxp = np.zeros_like(xp)
         for j in range(width):
-            gxp[j:j + out_len] += gwin[:, j, :]
-        _accumulate(x, gxp[pad_left:pad_left + length])
+            gxp[..., j:j + out_len, :] += gwin[..., j, :]
+        _accumulate(x, gxp[..., pad_left:pad_left + length, :])
 
     return _node(data, (x, filters), backward)
 
 
-def max_reduce(x, axis=0):
-    """Columnwise maximum over ``axis``; gradient goes to the first argmax."""
+def max_reduce(x, axis=-2):
+    """Maximum over ``axis``; gradient goes to the first argmax."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_reduce: expected a 2-d input, got {x.shape}")
-    idx = x.data.argmax(axis=axis)  # first maximal index on ties
-    data = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    data = data.squeeze(axis)
+    if x.data.ndim < 2:
+        raise ShapeError(f"max_reduce: expected at least 2-d input, got {x.shape}")
+    idx = np.expand_dims(x.data.argmax(axis=axis), axis)  # first max on ties
+    data = np.take_along_axis(x.data, idx, axis=axis).squeeze(axis)
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        if axis == 0:
-            gx[idx, np.arange(x.data.shape[1])] = g
-        else:
-            gx[np.arange(x.data.shape[0]), idx] = g
+        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
         _accumulate(x, gx)
 
     return _node(data, (x,), backward)
 
 
-def sum_reduce(x, axis=0):
-    """Sum over ``axis`` of a 2-d input (alternate length reduction)."""
+def sum_reduce(x, axis=-2):
+    """Sum over ``axis`` (alternate length reduction)."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"sum_reduce: expected a 2-d input, got {x.shape}")
+    if x.data.ndim < 2:
+        raise ShapeError(f"sum_reduce: expected at least 2-d input, got {x.shape}")
 
     def backward(g):
         _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
@@ -485,13 +567,12 @@ def sum_reduce(x, axis=0):
 
 
 def embedding_lookup(table, ids):
-    """Gather rows of table [V, H] at integer positions ids [L] -> [L, H]."""
+    """Gather rows of table [V, H] at integer positions ids [...] -> [..., H]."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or table.data.ndim != 2:
+    if table.data.ndim != 2:
         raise ShapeError(
-            f"embedding_lookup: expected table [V,H] and ids [L], got "
-            f"{table.shape} and {ids.shape}"
+            f"embedding_lookup: expected table [V,H], got {table.shape}"
         )
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(
@@ -502,28 +583,40 @@ def embedding_lookup(table, ids):
         if not _needs_grad(table):  # a frozen table gets no dense gradient
             return
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         _accumulate(table, gt)
 
     return _node(table.data[ids], (table,), backward)
 
 
 def cross_entropy_from_logits(logits, target_index):
-    """Negative log softmax probability of ``target_index``; scalar output."""
+    """Summed negative log softmax probability of the targets; scalar output.
+
+    ``logits`` is [..., n]; ``target_index`` is an int, or an int array
+    shaped like the leading axes, one target per row.
+    """
     logits = _as_tensor(logits)
-    if logits.data.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected 1-d logits, got {logits.shape}")
-    n = logits.data.shape[0]
-    target_index = int(target_index)
-    if not 0 <= target_index < n:
-        raise IndexError(f"cross_entropy: target {target_index} out of range [0, {n})")
-    m = logits.data.max()
-    lse = m + math.log(np.exp(logits.data - m).sum())
-    loss = lse - logits.data[target_index]
+    if logits.data.ndim < 1:
+        raise ShapeError(f"cross_entropy: expected [..., n] logits, got {logits.shape}")
+    n = logits.data.shape[-1]
+    try:
+        targets = np.broadcast_to(np.asarray(target_index, dtype=np.int64),
+                                  logits.data.shape[:-1])
+    except ValueError:
+        raise ShapeError(
+            f"cross_entropy: targets {np.shape(target_index)} do not match "
+            f"logits {logits.shape}"
+        )
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        raise IndexError(f"cross_entropy: target out of range [0, {n})")
+    rows = (np.arange(targets.size), targets.reshape(-1))
+    m = logits.data.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits.data - m).sum(axis=-1, keepdims=True))
+    loss = (lse.reshape(-1) - logits.data.reshape(-1, n)[rows]).sum()
 
     def backward(g):
         p = np.exp(logits.data - lse)
-        p[target_index] -= 1.0
+        p.reshape(-1, n)[rows] -= 1.0
         _accumulate(logits, float(g) * p)
 
     return _node(loss, (logits,), backward)

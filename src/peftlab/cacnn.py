@@ -4,7 +4,8 @@ Both variants synthesize per-example convolution filters from the example's
 own first-stage feature maps, then convolve those filters back over the
 encoder sequence output. Only the first-stage filters (and the context
 convolution, for the context-vector variant) are parameters; the synthesized
-second-stage filters are activations, so gradients flow through them.
+second-stage filters are activations, so gradients flow through them. An
+input with leading batch axes gets one set of synthesized filters per example.
 """
 
 from __future__ import annotations
@@ -107,50 +108,52 @@ def _initial_maps(x, registry, config):
     return maps
 
 
+def _first(flat, target):
+    """The first ``target`` entries along the last axis."""
+    if flat.shape[-1] == target:
+        return flat
+    return ag.split(flat, [target, flat.shape[-1] - target], -1)[0]
+
+
 def _tile_to(flat, target):
-    """Cyclically repeat a 1-d tensor and truncate to ``target`` entries."""
-    n = flat.shape[0]
-    reps = -(-target // n)
-    tiled = ag.concat([flat] * reps, 0) if reps > 1 else flat
-    if tiled.shape[0] == target:
-        return tiled
-    return ag.split(tiled, [target, tiled.shape[0] - target], 0)[0]
+    """Cyclically repeat along the last axis and truncate to ``target`` entries."""
+    reps = -(-target // flat.shape[-1])
+    return _first(ag.concat([flat] * reps, -1) if reps > 1 else flat, target)
 
 
 def forward_context_vector(x, registry, config):
-    """Figure-style head with context vectorization; x [L,H] -> [L,K]."""
+    """Figure-style head with context vectorization; x [..., L,H] -> [..., L,K]."""
     if config.variant != CONTEXT_VECTOR:
         raise ValueError("config is not a context_vector variant")
-    L, H = x.shape
-    maps = _initial_maps(x, registry, config)                    # [L, n_f]
+    lead, H = x.shape[:-2], x.shape[-1]
+    maps = _initial_maps(x, registry, config)                    # [..., L, n_f]
     reduce = ag.max_reduce if config.reduction == "max" else ag.sum_reduce
-    context = reduce(maps, 0)                                    # [n_f]
-    signal = ag.reshape(context, (config.initial_filters, 1))
+    context = reduce(maps, -2)                                   # [..., n_f]
+    signal = ag.reshape(context, lead + (config.initial_filters, 1))
     ctx_maps = ag.add(
         ag.conv1d(signal, registry["cacnn.context_filters"], "valid"),
         registry["cacnn.context_bias"],
-    )                                                            # [n_f-w_c+1, m]
-    flat = ag.reshape(ctx_maps, (ctx_maps.size,))
+    )                                                    # [..., n_f-w_c+1, m]
+    flat = ag.reshape(ctx_maps, lead + (ctx_maps.shape[-2] * ctx_maps.shape[-1],))
     needed = config.sample_filters * config.sample_width * H
     filters = ag.reshape(
         _tile_to(flat, needed),
-        (config.sample_filters, config.sample_width, H),
+        lead + (config.sample_filters, config.sample_width, H),
     )
     return ag.conv1d(x, filters, "same")
 
 
 def forward_simplified(x, registry, config):
-    """Head without context vectorization; x [L,H] -> [L,K]."""
+    """Head without context vectorization; x [..., L,H] -> [..., L,K]."""
     if config.variant != SIMPLIFIED:
         raise ValueError("config is not a simplified variant")
-    L, H = x.shape
+    lead, (L, H) = x.shape[:-2], x.shape[-2:]
     validate(config, L, H)
-    maps = _initial_maps(x, registry, config)                    # [L, n_f]
-    flat = ag.reshape(maps, (maps.size,))
+    maps = _initial_maps(x, registry, config)                    # [..., L, n_f]
+    flat = ag.reshape(maps, lead + (L * config.initial_filters,))
     needed = config.sample_filters * config.sample_width * H
-    first = ag.split(flat, [needed, flat.shape[0] - needed], 0)[0] \
-        if flat.shape[0] > needed else flat
-    filters = ag.reshape(first, (config.sample_filters, config.sample_width, H))
+    filters = ag.reshape(_first(flat, needed),
+                         lead + (config.sample_filters, config.sample_width, H))
     return ag.conv1d(x, filters, "same")
 
 
@@ -164,6 +167,6 @@ def head_logits(feature_maps, registry):
     """Affine K -> 2 per position; returns (start_logits, end_logits)."""
     logits = ag.add(ag.matmul(feature_maps, registry["cacnn.head_w"]),
                     registry["cacnn.head_b"])
-    L = feature_maps.shape[0]
-    start, end = ag.split(logits, [1, 1], 1)
-    return ag.reshape(start, (L,)), ag.reshape(end, (L,))
+    start, end = ag.split(logits, [1, 1], -1)
+    lead = feature_maps.shape[:-1]
+    return ag.reshape(start, lead), ag.reshape(end, lead)

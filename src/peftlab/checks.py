@@ -9,7 +9,7 @@ from . import cacnn as cacnn_mod
 from . import encoder as enc
 from . import trainer
 from .gradcheck import check_gradients, random_tensor
-from .span import generate_dataset
+from .span import SpanExample
 
 TOLERANCE = 1e-4
 
@@ -68,6 +68,30 @@ def _op_checks(rng):
     yield "cross_entropy_from_logits", lambda: ag.cross_entropy_from_logits(
         logits, 2), [logits]
 
+    # leading batch axes; drawn last so the checks above keep their inputs
+    a3 = random_tensor(rng, (2, 3, 4))
+    yield "matmul_3d_shared", lambda: ag.matmul(a3, b), [a3, b]
+    a4 = random_tensor(rng, (2, 2, 3, 4))
+    b4 = random_tensor(rng, (2, 2, 4, 2))
+    yield "matmul_4d", lambda: ag.matmul(a4, b4), [a4, b4]
+
+    q, k, v = (random_tensor(rng, (2, 2, 3, 2)) for _ in range(3))
+    wa = ag.Tensor(rng.standard_normal((2, 2, 3, 2)))
+    mask = np.zeros((2, 1, 1, 3))
+    mask[0, ..., 2] = mask[1, ..., 0] = enc.MASK_BIAS
+    yield "attention", lambda: ag.mul(ag.attention(q, k, v, 0.7), wa), [q, k, v]
+    yield "attention_masked", lambda: ag.mul(
+        ag.attention(q, k, v, 0.7, mask), wa), [q, k, v]
+
+    xb = random_tensor(rng, (2, 5, 3))
+    fb = random_tensor(rng, (2, 2, 2, 3))
+    wb = ag.Tensor(rng.standard_normal((2, 5, 2)))
+    yield "conv1d_per_sample", lambda: ag.mul(
+        ag.conv1d(xb, fb, "same"), wb), [xb, fb]
+    batch_logits = random_tensor(rng, (3, 7))
+    yield "cross_entropy_batched", lambda: ag.cross_entropy_from_logits(
+        batch_logits, np.array([2, 0, 6])), [batch_logits]
+
 
 def _composite_checks(rng):
     seed = int(rng.integers(0, 2**31))
@@ -96,7 +120,7 @@ def _composite_checks(rng):
 
     def span_loss_fn():
         model = trainer.Model(reg, config, "affine_span")
-        start, end = model.span_logits(_FakeExample(tokens, segments))
+        start, end = model.span_logits(SpanExample(tokens, segments, (3, 4)))
         return ag.add(ag.cross_entropy_from_logits(start, 3),
                       ag.cross_entropy_from_logits(end, 4))
 
@@ -124,13 +148,6 @@ def _composite_checks(rng):
                           ag.cross_entropy_from_logits(end, 2))
 
         yield name, cacnn_fn, [x] + params
-
-
-class _FakeExample:
-    def __init__(self, tokens, segments):
-        self.tokens = tokens
-        self.segments = segments
-        self.attention_mask = np.ones(len(tokens))
 
 
 def run_suite(seed=0, include_composites=True, tolerance=TOLERANCE):

@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import accounting, cacnn as cacnn_mod, checks, encoder as enc
 from .manifest import ManifestError, parse_manifest
@@ -102,27 +103,35 @@ def cmd_run(args):
         print(f"all {len(specs)} experiments already in {report_path}")
         return EXIT_OK
 
+    # each finished row reaches disk at once, so an interrupt keeps it
+    parallel = args.parallel and len(todo) > 1
     try:
-        if args.parallel and len(todo) > 1:
-            # wall-clock timings are not comparable across parallel workers
-            with ProcessPoolExecutor() as pool:
-                rows = list(pool.map(_run_experiment, todo,
-                                     [out_dir] * len(todo)))
-        else:
-            rows = [_run_experiment(spec, out_dir) for spec in todo]
+        # wall-clock timings are not comparable across parallel workers
+        with ProcessPoolExecutor() if parallel else nullcontext() as pool:
+            rows = (pool.map(_run_experiment, todo, [out_dir] * len(todo))
+                    if parallel else (_run_experiment(s, out_dir) for s in todo))
+            for spec, row in zip(todo, rows):
+                existing[spec.label] = row
+                _write_report(report_path, specs, existing)
     except GenerationError as exc:
         return _fail(EXIT_VALIDATION, exc)
     except TrainingDiverged as exc:
         return _fail(EXIT_RUNTIME, exc)
 
-    fresh = {spec.label: row for spec, row in zip(todo, rows)}
-    with open(report_path, "w", encoding="utf-8", newline="") as fh:
+    print(f"wrote {report_path} ({len(specs)} rows, {len(todo)} new)")
+    return EXIT_OK
+
+
+def _write_report(path, specs, rows):
+    """Atomically write the finished rows in manifest order."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for spec in specs:
-            writer.writerow(existing.get(spec.label, fresh.get(spec.label)))
-    print(f"wrote {report_path} ({len(specs)} rows, {len(todo)} new)")
-    return EXIT_OK
+            if spec.label in rows:
+                writer.writerow(rows[spec.label])
+    os.replace(tmp, path)
 
 
 def cmd_gradcheck(args):

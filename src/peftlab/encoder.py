@@ -228,28 +228,36 @@ def _adapter(reg, prefix, z):
     return ag.add(z, up)
 
 
+def _swap_head_axes(x):
+    """[..., L, A, Hd] <-> [..., A, L, Hd]."""
+    axes = list(range(x.data.ndim))
+    axes[-3], axes[-2] = axes[-2], axes[-3]
+    return ag.transpose(x, axes)
+
+
 def _attention(reg, config, prefix, x, mask_bias):
-    H, A, Hd = config.hidden_size, config.num_heads, config.head_dim
-    q = ag.add(ag.matmul(x, reg[f"{prefix}.q_w"]), reg[f"{prefix}.q_b"])
-    k = ag.add(ag.matmul(x, reg[f"{prefix}.k_w"]), reg[f"{prefix}.k_b"])
-    v = ag.add(ag.matmul(x, reg[f"{prefix}.v_w"]), reg[f"{prefix}.v_b"])
-    sizes = [Hd] * A
-    heads = []
-    for qh, kh, vh in zip(ag.split(q, sizes, 1), ag.split(k, sizes, 1),
-                          ag.split(v, sizes, 1)):
-        scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 1.0 / math.sqrt(Hd))
-        if mask_bias is not None:
-            scores = ag.add(scores, mask_bias)
-        heads.append(ag.matmul(ag.softmax(scores, 1), vh))
-    out = ag.concat(heads, 1)
+    """Multi-head self-attention over x [..., L, H], heads as one batch axis."""
+    A, Hd = config.num_heads, config.head_dim
+    lead = x.shape[:-1]
+
+    def heads(proj):
+        y = ag.add(ag.matmul(x, reg[f"{prefix}.{proj}_w"]), reg[f"{prefix}.{proj}_b"])
+        return _swap_head_axes(ag.reshape(y, lead + (A, Hd)))
+
+    ctx = ag.attention(heads("q"), heads("k"), heads("v"), 1.0 / math.sqrt(Hd),
+                       mask_bias)
+    out = ag.reshape(_swap_head_axes(ctx), lead + (config.hidden_size,))
     return ag.add(ag.matmul(out, reg[f"{prefix}.o_w"]), reg[f"{prefix}.o_b"])
 
 
 def forward(registry, config, tokens, segments, attention_mask=None):
-    """Run the encoder; returns the [L, hidden_size] sequence output."""
+    """Run the encoder on ids [..., L]; returns the [..., L, hidden_size] output.
+
+    Leading axes are a batch: every example in it is encoded independently.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
     segments = np.asarray(segments, dtype=np.int64)
-    L = tokens.shape[0]
+    L = tokens.shape[-1]
     if L > config.max_seq_len:
         raise ValueError(f"sequence length {L} exceeds max {config.max_seq_len}")
     if tokens.size and tokens.max() >= config.vocab_size:
@@ -269,7 +277,7 @@ def forward(registry, config, tokens, segments, attention_mask=None):
     mask_bias = None
     if attention_mask is not None:
         m = np.asarray(attention_mask, dtype=np.float64)
-        mask_bias = Tensor((1.0 - m).reshape(1, L) * MASK_BIAS)
+        mask_bias = ((1.0 - m) * MASK_BIAS)[..., None, None, :]  # [..., 1, 1, L]
 
     for i in range(config.num_layers):
         p = f"layer{i}"
@@ -291,9 +299,9 @@ def forward(registry, config, tokens, segments, attention_mask=None):
 def span_head_logits(registry, sequence_output):
     """Per-position affine hidden -> 2; returns (start_logits, end_logits)."""
     logits = ag.add(ag.matmul(sequence_output, registry["head.w"]), registry["head.b"])
-    start, end = ag.split(logits, [1, 1], 1)
-    L = sequence_output.shape[0]
-    return ag.reshape(start, (L,)), ag.reshape(end, (L,))
+    start, end = ag.split(logits, [1, 1], -1)
+    lead = sequence_output.shape[:-1]
+    return ag.reshape(start, lead), ag.reshape(end, lead)
 
 
 def apply_freeze_policy(registry, config, policy):

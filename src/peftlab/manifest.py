@@ -5,8 +5,7 @@ from __future__ import annotations
 import configparser
 import difflib
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from . import cacnn as cacnn_mod
 from .encoder import AdapterConfig, EncoderConfig, FreezePolicy, PRESETS
@@ -21,7 +20,7 @@ KNOWN_KEYS = {
     "head", "variant", "n_f", "w1", "w_c", "m", "K", "w2",
     "batch_size", "epochs", "learning_rate", "seed",
     "dataset_count", "dataset_len", "unanswerable_fraction",
-    "max_answer_len", "out_dir",
+    "max_answer_len",
 }
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -42,7 +41,6 @@ class ExperimentSpec:
     dataset_count: int = 2000
     dataset_len: int = 64
     unanswerable_fraction: float = 1.0 / 3.0
-    out_dir: Optional[str] = None
 
 
 def _get_bool(raw, key, label):
@@ -191,5 +189,4 @@ def _build_spec(label, section):
         unanswerable_fraction=_get_float(
             section.get("unanswerable_fraction", str(1.0 / 3.0)),
             "unanswerable_fraction", label),
-        out_dir=section.get("out_dir"),
     )

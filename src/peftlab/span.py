@@ -19,13 +19,24 @@ FIRST_WORD_ID = 2  # ids below this are reserved
 
 @dataclass
 class SpanExample:
+    """One example, or a batch of them stacked by ``stack``.
+
+    A batch holds tokens and segments [B, L] and gold spans as a [B, 2] array.
+    """
     tokens: np.ndarray      # int ids, length L, position 0 is CLS
     segments: np.ndarray    # 0 on the query side, 1 on the context side
     gold_span: tuple        # (start, end) inclusive; (0, 0) = unanswerable
 
     @property
     def attention_mask(self):
-        return np.ones(len(self.tokens))
+        return np.ones(self.tokens.shape)
+
+
+def stack(examples):
+    """Stack equal-length examples into one batch SpanExample."""
+    return SpanExample(np.stack([ex.tokens for ex in examples]),
+                       np.stack([ex.segments for ex in examples]),
+                       np.array([ex.gold_span for ex in examples]))
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 from . import autograd as ag
 from . import cacnn as cacnn_mod
 from . import encoder as enc
-from .span import decode_span, score
+from .span import decode_span, score, stack
 
 
 @dataclass
@@ -93,9 +93,10 @@ class Model:
     config: "enc.EncoderConfig"
     head: object = "affine_span"  # or a CacnnConfig
 
-    def span_logits(self, example):
-        x = enc.forward(self.registry, self.config, example.tokens,
-                        example.segments, example.attention_mask)
+    def span_logits(self, batch):
+        """Start and end logits [..., L] of one example or a stacked batch."""
+        x = enc.forward(self.registry, self.config, batch.tokens,
+                        batch.segments, batch.attention_mask)
         if self.head == "affine_span":
             return enc.span_head_logits(self.registry, x)
         maps = cacnn_mod.forward(x, self.registry, self.head)
@@ -109,13 +110,17 @@ class TrainResult:
     train_seconds: float
 
 
-def example_loss(model, example):
-    """Mean of start- and end-position cross-entropy."""
-    start_logits, end_logits = model.span_logits(example)
-    s, e = example.gold_span
-    loss = ag.add(ag.cross_entropy_from_logits(start_logits, s),
-                  ag.cross_entropy_from_logits(end_logits, e))
-    return ag.scale(loss, 0.5)
+def example_loss(model, batch):
+    """Mean of start- and end-position cross-entropy over the examples.
+
+    ``batch`` is one SpanExample or a stacked batch of them (``span.stack``).
+    """
+    start_logits, end_logits = model.span_logits(batch)
+    gold = np.asarray(batch.gold_span)
+    starts, ends = gold[..., 0], gold[..., 1]
+    loss = ag.add(ag.cross_entropy_from_logits(start_logits, starts),
+                  ag.cross_entropy_from_logits(end_logits, ends))
+    return ag.scale(loss, 0.5 / starts.size)
 
 
 def train(model, dataset, train_config):
@@ -129,17 +134,14 @@ def train(model, dataset, train_config):
     for epoch in range(train_config.epochs):
         order = rng.permutation(len(dataset))
         for lo in range(0, len(dataset), train_config.batch_size):
-            batch = [dataset[i] for i in order[lo:lo + train_config.batch_size]]
+            batch = stack([dataset[i]
+                           for i in order[lo:lo + train_config.batch_size]])
             opt.zero_grad()
-            losses = [example_loss(model, ex) for ex in batch]
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ag.add(total, extra)
-            total = ag.scale(total, 1.0 / len(batch))
-            loss_val = total.item()
+            loss = example_loss(model, batch)  # one graph per mini-batch
+            loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, loss_val)
-            total.backward()
+            loss.backward()
             opt.step()
             history.append((step, epoch, loss_val))
             step += 1
@@ -148,17 +150,21 @@ def train(model, dataset, train_config):
 
 
 def evaluate(model, dataset, train_config):
-    """Forward + decode + score; times forward and decode only."""
+    """Forward per ``batch_size`` chunk, decode + score per example.
+
+    Times forward and decode only.
+    """
     predictions = []
     seconds = 0.0
     with ag.no_grad():
-        for ex in dataset:
+        for lo in range(0, len(dataset), train_config.batch_size):
+            batch = stack(dataset[lo:lo + train_config.batch_size])
             t0 = time.monotonic()
-            start_logits, end_logits = model.span_logits(ex)
-            pred = decode_span(start_logits.data, end_logits.data,
-                               train_config.max_answer_len)
+            start_logits, end_logits = model.span_logits(batch)
+            for start, end in zip(start_logits.data, end_logits.data):
+                predictions.append(decode_span(start, end,
+                                               train_config.max_answer_len))
             seconds += time.monotonic() - t0
-            predictions.append(pred)
     em, f1 = score(predictions, dataset)
     return em, f1, seconds
 

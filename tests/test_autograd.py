@@ -283,3 +283,69 @@ class TestLeanBackward:
             math.sqrt(2.0 / math.pi) * (v + 0.044715 * v**3)))
         got = ag.gelu(Tensor(v)).data
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-14
+
+
+class TestBatchAxis:
+    def test_conv1d_batch_rows_equal_per_example_and_loop_oracle(self):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((3, 7, 2))
+        shared = rng.standard_normal((4, 3, 2))
+        per_sample = rng.standard_normal((3, 4, 3, 2))
+        for padding in ("same", "valid"):
+            got = ag.conv1d(Tensor(x), Tensor(shared), padding).data
+            got_ps = ag.conv1d(Tensor(x), Tensor(per_sample), padding).data
+            for b in range(3):
+                one = ag.conv1d(Tensor(x[b]), Tensor(shared), padding).data
+                assert np.array_equal(got[b], one)
+                assert np.array_equal(got[b], conv1d_loops(x[b], shared, padding))
+                assert np.array_equal(
+                    got_ps[b], conv1d_loops(x[b], per_sample[b], padding))
+
+    def test_conv1d_rejects_filters_of_another_batch(self):
+        with pytest.raises(ShapeError):
+            ag.conv1d(Tensor(np.zeros((2, 4, 1))), Tensor(np.zeros((3, 1, 1, 1))),
+                      "same")
+
+    def test_attention_equals_the_unfused_chain(self):
+        rng = np.random.default_rng(17)
+        q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
+        mask = np.where(rng.random((2, 1, 1, 5)) < 0.4, -1e9, 0.0)
+        g = rng.standard_normal((2, 3, 5, 4))
+        fused = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        ag.attention(*fused, 0.5, mask).backward(g)
+        for b in range(2):
+            for h in range(3):
+                qh, kh, vh = (Tensor(a[b, h], requires_grad=True)
+                              for a in (q, k, v))
+                scores = ag.add(ag.scale(ag.matmul(qh, ag.transpose(kh)), 0.5),
+                                Tensor(mask[b, 0]))
+                ag.matmul(ag.softmax(scores, 1), vh).backward(g[b, h])
+                for t, ref in zip(fused, (qh, kh, vh)):
+                    assert np.allclose(t.grad[b, h], ref.grad, rtol=1e-12,
+                                       atol=1e-14)
+
+    def test_training_attention_keeps_one_score_sized_array(self):
+        B, A, L, d = 2, 2, 96, 2
+        rng = np.random.default_rng(18)
+        q, k, v = (Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
+                   for _ in range(3))
+        mask = np.zeros((B, 1, 1, L))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = ag.attention(q, k, v, 0.5, mask)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        score_bytes = B * A * L * L * 8
+        assert out._backward is not None
+        assert kept - before - out.data.nbytes < 2 * score_bytes
+
+    def test_cross_entropy_batch_is_the_sum_of_rows(self):
+        rng = np.random.default_rng(19)
+        logits = rng.standard_normal((4, 6))
+        targets = np.array([0, 5, 2, 2])
+        batched = ag.cross_entropy_from_logits(Tensor(logits), targets).item()
+        rows = sum(ag.cross_entropy_from_logits(Tensor(row), t).item()
+                   for row, t in zip(logits, targets))
+        assert batched == pytest.approx(rows, rel=1e-14)

@@ -213,3 +213,38 @@ class TestPerSampleProperty:
                      for i in perm]
         for got, want in zip(outs_perm, (outs[i] for i in perm)):
             assert np.array_equal(got, want)
+
+    def test_batched_forward_equals_per_example_and_oracle(self):
+        rng = np.random.default_rng(11)
+        for cfg in (CacnnConfig(CONTEXT_VECTOR, 3, 2, 2, 2, context_width=2,
+                                context_filters=2),
+                    CacnnConfig(SIMPLIFIED, 4, 2, 2, 2)):
+            reg = make_head(cfg, hidden_size=4, seed=11)
+            reg["cacnn.init_bias"].data[:] = rng.standard_normal(
+                cfg.initial_filters)
+            batch = rng.standard_normal((4, 6, 4))
+            got = cacnn.forward(ag.Tensor(batch), reg, cfg).data
+            perm = [2, 0, 3, 1]
+            got_perm = cacnn.forward(ag.Tensor(batch[perm]), reg, cfg).data
+            assert np.array_equal(got_perm, got[perm])
+            for b in range(4):
+                one = cacnn.forward(ag.Tensor(batch[b]), reg, cfg).data
+                assert np.array_equal(got[b], one)
+                assert np.array_equal(got[b], run_oracle(batch[b], reg, cfg))
+
+    def test_batched_gradient_through_full_stack(self):
+        cfg = CacnnConfig(CONTEXT_VECTOR, initial_filters=4, initial_width=2,
+                          sample_filters=2, sample_width=1, context_width=2,
+                          context_filters=2)
+        rng = np.random.default_rng(12)
+        reg = make_head(cfg, hidden_size=3, seed=12)
+        x = ag.Tensor(rng.standard_normal((2, 6, 3)), requires_grad=True)
+        params = [x, reg["cacnn.init_filters"], reg["cacnn.init_bias"],
+                  reg["cacnn.context_filters"], reg["cacnn.head_w"]]
+
+        def fn():
+            start, end = cacnn.head_logits(cacnn.forward(x, reg, cfg), reg)
+            return ag.add(ag.cross_entropy_from_logits(start, np.array([1, 4])),
+                          ag.cross_entropy_from_logits(end, np.array([3, 5])))
+
+        assert check_gradients(fn, params) < 1e-4

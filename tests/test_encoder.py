@@ -207,3 +207,33 @@ class TestSerialization:
         for name, t in reg.items():
             assert np.array_equal(loaded[name].data, t.data)
             assert loaded.is_trainable(name) == reg.is_trainable(name)
+
+
+class TestBatchAxis:
+    def test_batched_forward_matches_per_example(self):
+        rng = np.random.default_rng(20)
+        cfg = desk_config(adapter=AdapterConfig(4))
+        reg = build_encoder(cfg, seed=5)
+        ds = generate_dataset(seed=3, count=5, seq_len=20, vocab_size=64)
+        tokens = np.stack([ex.tokens for ex in ds])
+        segments = np.stack([ex.segments for ex in ds])
+        mask = np.ones(tokens.shape)
+        mask[:, -3:] = rng.integers(0, 2, size=(5, 3))
+        batched = enc.forward(reg, cfg, tokens, segments, mask).data
+        for b in range(5):
+            one = enc.forward(reg, cfg, tokens[b], segments[b], mask[b]).data
+            assert np.max(np.abs(batched[b] - one) / np.abs(one)) <= 1e-12
+
+    def test_one_attention_node_per_layer_and_no_head_loop(self):
+        from peftlab import autograd as ag
+        from peftlab.span import stack
+        from peftlab.trainer import example_loss
+        cfg = desk_config()
+        reg = build_encoder(cfg, seed=0)
+        ds = generate_dataset(seed=0, count=4, seq_len=16, vocab_size=64)
+        loss = example_loss(Model(reg, cfg), stack(ds))
+        ops = [n._backward.__qualname__.split(".")[0]
+               for n in ag._toposort(loss) if n._backward is not None]
+        assert ops.count("attention") == cfg.num_layers
+        assert ops.count("split") == 2      # the head's start/end columns
+        assert "concat" not in ops and "softmax" not in ops

@@ -204,6 +204,46 @@ class TestRun:
         assert code == 1
         assert "[simp] simplified CACNN needs" in capsys.readouterr().err
 
+    def test_divergence_keeps_finished_rows_and_rerun_adds_the_rest(
+            self, tmp_path, monkeypatch):
+        from peftlab.trainer import TrainingDiverged
+        manifest = write_manifest(tmp_path, SMALL_RUN)
+        out = str(tmp_path / "out")
+        report = os.path.join(out, "report.csv")
+        real = cli._run_experiment
+        ran, diverging = [], {"tiny-frozen"}
+
+        def run_experiment(spec, out_dir):
+            ran.append(spec.label)
+            if spec.label in diverging:
+                raise TrainingDiverged(0, float("nan"))
+            return real(spec, out_dir)
+
+        monkeypatch.setattr(cli, "_run_experiment", run_experiment)
+        assert cli.main(["run", "--manifest", manifest, "--out", out]) == 2
+        with open(report, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == ["tiny-full"]
+        assert not os.path.exists(report + ".tmp")
+
+        ran.clear()
+        diverging.clear()
+        assert cli.main(["run", "--manifest", manifest, "--out", out]) == 0
+        assert ran == ["tiny-frozen"]
+        with open(report, newline="") as fh:
+            again = list(csv.DictReader(fh))
+        assert [r["label"] for r in again] == ["tiny-full", "tiny-frozen"]
+        assert again[0] == rows[0]
+
+    def test_out_dir_key_is_unknown(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, "[a]\nout_dir = somewhere\n")
+        code = cli.main(["run", "--manifest", manifest,
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert 'unknown key "out_dir"' in err
+        assert "Traceback" not in err
+
     def test_bad_manifest_exit_code(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, "[a]\nbogus_key = 1\n")
         code = cli.main(["run", "--manifest", manifest,

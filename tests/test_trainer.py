@@ -135,10 +135,13 @@ class _StubModel:
     def __init__(self, logit_fn):
         self.logit_fn = logit_fn
 
-    def span_logits(self, example):
+    def span_logits(self, batch):
         from peftlab.autograd import Tensor
-        s, e = self.logit_fn(example)
-        return Tensor(s), Tensor(e)
+        from peftlab.span import SpanExample
+        pairs = [self.logit_fn(SpanExample(t, s, tuple(g))) for t, s, g
+                 in zip(batch.tokens, batch.segments, batch.gold_span)]
+        return (Tensor(np.stack([s for s, _ in pairs])),
+                Tensor(np.stack([e for _, e in pairs])))
 
 
 class TestEvaluate:
