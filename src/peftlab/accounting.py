@@ -1,6 +1,6 @@
-"""Closed-form trainable-parameter accounting at arbitrary scale.
+"""Trainable-parameter accounting at arbitrary scale.
 
-Counts are pure arithmetic over an EncoderConfig / FreezePolicy / head choice
+Counts sum the shapes of the parameter schema under the freeze policy's rule
 and never allocate weights, so full BERT-base bookkeeping runs instantly.
 Whenever a registry is actually built, these numbers must match it exactly.
 """
@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 from . import cacnn as cacnn_mod
-
-AFFINE_SPAN = "affine_span"
+from .encoder import AFFINE_SPAN, parameter_schema
 
 # Published figures that disagree with first-principles arithmetic; reported
 # alongside our closed-form counts, never silently substituted.
@@ -40,52 +40,41 @@ class CountReport:
                 + self.adapters + self.head)
 
 
+def _layer0(config, group):
+    return sum(math.prod(p.shape) for p in parameter_schema(config)
+               if p.group == group and p.layer == 0)
+
+
 def per_layer_attention(config):
-    h = config.hidden_size
-    return 4 * (h * h + h)
+    return _layer0(config, "attention")
 
 
 def per_layer_ffn(config):
-    h, i = config.hidden_size, config.intermediate_size
-    return h * i + i + i * h + h
+    return _layer0(config, "ffn")
 
 
 def per_adapter(config):
-    h, a = config.hidden_size, config.adapter.adapter_size
-    return 2 * a * h + a + h
-
-
-def head_count(config, head):
-    if head == AFFINE_SPAN:
-        return 2 * config.hidden_size + 2
-    return cacnn_mod.parameter_count(head, config.hidden_size)
+    return _layer0(config, "adapters") // 2  # one after each sublayer
 
 
 def count(config, policy, head=AFFINE_SPAN):
-    h, n = config.hidden_size, config.num_layers
-    embeddings = (config.vocab_size * h + config.max_seq_len * h
-                  + config.segment_types * h)
-    attention = n * per_layer_attention(config)
-    ffn = n * per_layer_ffn(config)
-    layer_norms = n * 4 * h + 2 * h
-    adapters = 2 * n * per_adapter(config) if config.adapter is not None else 0
-    head_total = head_count(config, head)
-
-    k = policy.top_layers_trainable
-    trainable = k * (per_layer_attention(config) + per_layer_ffn(config))
-    trainable += layer_norms  # always trainable, embedding layer norm included
-    trainable += head_total
-    if policy.embeddings_trainable:
-        trainable += embeddings
-    if config.adapter is not None and policy.adapters_trainable:
-        trainable += adapters
-
-    footnote = _footnote(config, policy, trainable)
-    return CountReport(embeddings, attention, ffn, layer_norms, adapters,
-                       head_total, trainable, footnote)
+    schema = parameter_schema(config, include_head=head == AFFINE_SPAN)
+    if head != AFFINE_SPAN:
+        schema += cacnn_mod.parameter_schema(head, config.hidden_size)
+    groups = dict.fromkeys(("embeddings", "attention", "ffn", "layer_norms",
+                            "adapters", "head"), 0)
+    trainable = 0
+    for p in schema:
+        size = math.prod(p.shape)
+        groups[p.group] += size
+        if policy.trains(p.group, p.layer, config.num_layers):
+            trainable += size
+    footnote = _footnote(config, policy, trainable, groups["head"])
+    return CountReport(**groups, trainable_under_policy=trainable,
+                       footnote=footnote)
 
 
-def _footnote(config, policy, trainable):
+def _footnote(config, policy, trainable, head):
     at_bert_base = (config.hidden_size == 768 and config.num_layers == 12
                     and config.vocab_size == 30522)
     if not at_bert_base:
@@ -107,8 +96,7 @@ def _footnote(config, policy, trainable):
     if frozen_a64:
         return (
             f"published count is {REPORTED_FROZEN_ADAPTER_64:,}, exactly the "
-            f"closed form {trainable:,} minus the {2 * config.hidden_size + 2:,}"
-            f"-parameter head"
+            f"closed form {trainable:,} minus the {head:,}-parameter head"
         )
     return ""
 

@@ -209,16 +209,6 @@ def scale(x, c):
     return _node(x.data * c, (x,), backward)
 
 
-def relu(x):
-    x = _as_tensor(x)
-    mask = x.data > 0
-
-    def backward(g):
-        _accumulate(x, g * mask)
-
-    return _node(np.where(mask, x.data, 0.0), (x,), backward)
-
-
 def tanh(x):
     x = _as_tensor(x)
     t = np.tanh(x.data)

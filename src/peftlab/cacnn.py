@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autograd as ag
-from .encoder import INIT_STD, _truncated_normal
+from .encoder import Param
 
 CONTEXT_VECTOR = "context_vector"
 SIMPLIFIED = "simplified"
@@ -32,7 +30,6 @@ class CacnnConfig:
     context_width: int = 0        # context-vector variant only
     context_filters: int = 0      # context-vector variant only
     reduction: str = "max"        # length reduction: max or sum
-    interstage_relu: bool = False
 
     def __post_init__(self):
         if self.variant not in (CONTEXT_VECTOR, SIMPLIFIED):
@@ -67,45 +64,37 @@ def validate(config, seq_len, hidden_size):
             )
 
 
-def parameter_count(config, hidden_size):
-    """Closed-form trainable parameter count of the head."""
-    n = config.initial_filters * (config.initial_width * hidden_size + 1)
+def parameter_schema(config, hidden_size):
+    """Every head parameter in allocation order."""
+    def head(name, shape, init):
+        return Param(f"cacnn.{name}", shape, "head", None, init)
+
+    n_f = config.initial_filters
+    schema = [head("init_filters", (n_f, config.initial_width, hidden_size),
+                   "normal"),
+              head("init_bias", (n_f,), "zeros")]
     if config.variant == CONTEXT_VECTOR:
-        n += config.context_filters * (config.context_width + 1)
-    n += 2 * config.sample_filters + 2
-    return n
+        m = config.context_filters
+        schema += [head("context_filters", (m, config.context_width, 1),
+                        "normal"),
+                   head("context_bias", (m,), "zeros")]
+    return schema + [head("head_w", (config.sample_filters, 2), "normal"),
+                     head("head_b", (2,), "zeros")]
+
+
+def parameter_count(config, hidden_size):
+    """Trainable parameter count of the head, summed from its schema."""
+    return sum(math.prod(p.shape) for p in parameter_schema(config, hidden_size))
 
 
 def build_params(registry, config, hidden_size, seed):
-    """Add CACNN head parameters (prefix ``cacnn.``) to a registry."""
-    rng = np.random.default_rng(seed)
-    registry.add(
-        "cacnn.init_filters",
-        _truncated_normal(rng, (config.initial_filters, config.initial_width,
-                                hidden_size)),
-    )
-    registry.add("cacnn.init_bias", np.zeros(config.initial_filters))
-    if config.variant == CONTEXT_VECTOR:
-        registry.add(
-            "cacnn.context_filters",
-            _truncated_normal(rng, (config.context_filters, config.context_width, 1)),
-        )
-        registry.add("cacnn.context_bias", np.zeros(config.context_filters))
-    registry.add(
-        "cacnn.head_w", _truncated_normal(rng, (config.sample_filters, 2))
-    )
-    registry.add("cacnn.head_b", np.zeros(2))
-    return registry
+    """Add the head's schema parameters to a registry."""
+    return registry.allocate(parameter_schema(config, hidden_size), seed)
 
 
-def _initial_maps(x, registry, config):
-    maps = ag.add(
-        ag.conv1d(x, registry["cacnn.init_filters"], "same"),
-        registry["cacnn.init_bias"],
-    )
-    if config.interstage_relu:
-        maps = ag.relu(maps)
-    return maps
+def _initial_maps(x, registry):
+    return ag.add(ag.conv1d(x, registry["cacnn.init_filters"], "same"),
+                  registry["cacnn.init_bias"])
 
 
 def _first(flat, target):
@@ -126,7 +115,7 @@ def forward_context_vector(x, registry, config):
     if config.variant != CONTEXT_VECTOR:
         raise ValueError("config is not a context_vector variant")
     lead, H = x.shape[:-2], x.shape[-1]
-    maps = _initial_maps(x, registry, config)                    # [..., L, n_f]
+    maps = _initial_maps(x, registry)                            # [..., L, n_f]
     reduce = ag.max_reduce if config.reduction == "max" else ag.sum_reduce
     context = reduce(maps, -2)                                   # [..., n_f]
     signal = ag.reshape(context, lead + (config.initial_filters, 1))
@@ -149,7 +138,7 @@ def forward_simplified(x, registry, config):
         raise ValueError("config is not a simplified variant")
     lead, (L, H) = x.shape[:-2], x.shape[-2:]
     validate(config, L, H)
-    maps = _initial_maps(x, registry, config)                    # [..., L, n_f]
+    maps = _initial_maps(x, registry)                            # [..., L, n_f]
     flat = ag.reshape(maps, lead + (L * config.initial_filters,))
     needed = config.sample_filters * config.sample_width * H
     filters = ag.reshape(_first(flat, needed),

@@ -56,9 +56,8 @@ def _run_experiment(spec, out_dir):
         unanswerable_fraction=spec.unanswerable_fraction,
     )
     registry = enc.build_encoder(config, tc.seed,
-                                 include_head=head == "affine_span")
-    if head != "affine_span":
-        cacnn_mod.validate(head, spec.dataset_len, config.hidden_size)
+                                 include_head=head == enc.AFFINE_SPAN)
+    if head != enc.AFFINE_SPAN:
         cacnn_mod.build_params(registry, head, config.hidden_size, tc.seed + 1)
     enc.apply_freeze_policy(registry, config, policy)
 

@@ -1,17 +1,17 @@
 """BERT-style transformer encoder with adapters and a declarative freeze policy.
 
-The encoder owns all model parameters through a ParameterRegistry: an ordered,
-named collection of tensors with per-parameter trainable flags. Freeze
-policies mark attention and feed-forward weights of the bottom layers as
-non-trainable; layer norms (including the embedding layer norm) and the task
-head are always trainable.
+``parameter_schema`` describes every parameter once: name, shape, group,
+layer and init. The registry allocates from it, accounting sums its shapes,
+and the freeze policy decides trainability from each entry's group and
+layer: attention and feed-forward weights of the bottom layers freeze; layer
+norms (including the embedding layer norm) and the task head always train.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .autograd import Tensor
 
 MASK_BIAS = -1e9
 INIT_STD = 0.02
+AFFINE_SPAN = "affine_span"  # the per-position affine span head
 
 
 @dataclass
@@ -48,6 +49,12 @@ class EncoderConfig:
     adapter: Optional[AdapterConfig] = None
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden_size", "num_heads",
+                     "intermediate_size", "max_seq_len", "segment_types"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.num_layers < 0:
+            raise ValueError(f"num_layers must be >= 0, got {self.num_layers}")
         if self.hidden_size % self.num_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by "
@@ -87,21 +94,117 @@ class FreezePolicy:
     embeddings_trainable: bool = False
     adapters_trainable: bool = True
 
+    def trains(self, group, layer, num_layers):
+        """Whether a parameter of ``group`` in encoder ``layer`` trains."""
+        if group in ("attention", "ffn"):
+            return layer >= num_layers - self.top_layers_trainable
+        if group == "embeddings":
+            return self.embeddings_trainable
+        if group == "adapters":
+            return self.adapters_trainable
+        return True  # layer_norms and head
+
+
+class Param(NamedTuple):
+    """One parameter of the model layout."""
+    name: str
+    shape: tuple
+    group: str             # a CountReport field: embeddings, attention, ffn,
+                           # layer_norms, adapters or head
+    layer: Optional[int]   # encoder layer index; None outside the layers
+    init: str              # normal (truncated, std 0.02), zeros or ones
+
+
+def parameter_schema(config, include_head=True):
+    """Every encoder parameter (and the affine span head) in allocation order.
+
+    Weights are truncated-normal; biases zero; layer-norm gains one; adapter
+    up-projections zero so adapters start as identities.
+    """
+    H, I = config.hidden_size, config.intermediate_size
+    schema = []
+
+    def add(name, shape, group, init, layer=None):
+        schema.append(Param(name, shape, group, layer, init))
+
+    for table, rows in (("token", config.vocab_size),
+                        ("position", config.max_seq_len),
+                        ("segment", config.segment_types)):
+        add(f"embeddings.{table}", (rows, H), "embeddings", "normal")
+    add("embeddings.ln_gain", (H,), "layer_norms", "ones")
+    add("embeddings.ln_bias", (H,), "layer_norms", "zeros")
+    for i in range(config.num_layers):
+        p = f"layer{i}"
+        for proj in ("q", "k", "v", "o"):
+            add(f"{p}.attn.{proj}_w", (H, H), "attention", "normal", i)
+            add(f"{p}.attn.{proj}_b", (H,), "attention", "zeros", i)
+        add(f"{p}.ln1_gain", (H,), "layer_norms", "ones", i)
+        add(f"{p}.ln1_bias", (H,), "layer_norms", "zeros", i)
+        add(f"{p}.ffn.w1", (H, I), "ffn", "normal", i)
+        add(f"{p}.ffn.b1", (I,), "ffn", "zeros", i)
+        add(f"{p}.ffn.w2", (I, H), "ffn", "normal", i)
+        add(f"{p}.ffn.b2", (H,), "ffn", "zeros", i)
+        add(f"{p}.ln2_gain", (H,), "layer_norms", "ones", i)
+        add(f"{p}.ln2_bias", (H,), "layer_norms", "zeros", i)
+        if config.adapter is not None:
+            a = config.adapter.adapter_size
+            for slot in ("adapter_attn", "adapter_ffn"):
+                add(f"{p}.{slot}.down_w", (H, a), "adapters", "normal", i)
+                add(f"{p}.{slot}.down_b", (a,), "adapters", "zeros", i)
+                add(f"{p}.{slot}.up_w", (a, H), "adapters", "zeros", i)
+                add(f"{p}.{slot}.up_b", (H,), "adapters", "zeros", i)
+    if include_head:
+        add("head.w", (H, 2), "head", "normal")
+        add("head.b", (2,), "head", "zeros")
+    return schema
+
+
+def _truncated_normal(rng, shape, std=INIT_STD):
+    """Normal(0, std) with redraws beyond two standard deviations."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out
+
+
+_INITS = {"normal": _truncated_normal,
+          "zeros": lambda rng, shape: np.zeros(shape),
+          "ones": lambda rng, shape: np.ones(shape)}
+
 
 class ParameterRegistry:
-    """Ordered, named parameter store with per-parameter trainable flags."""
+    """Ordered, named parameter store.
+
+    A parameter is trainable exactly when its tensor's ``requires_grad`` is
+    set. Parameters allocated from a schema keep their ``Param`` entry, which
+    the freeze policy reads.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
+        self._entries: dict[str, Param] = {}
 
-    def add(self, name, values, trainable=True):
+    def add(self, name, values, trainable=True, entry=None):
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=trainable)
         self._params[name] = t
-        self._trainable[name] = bool(trainable)
+        if entry is not None:
+            self._entries[name] = entry
         return t
+
+    def allocate(self, schema, seed):
+        """Add every schema entry in order; one generator draws the inits."""
+        rng = np.random.default_rng(seed)
+        for p in schema:
+            self.add(p.name, _INITS[p.init](rng, p.shape), entry=p)
+        return self
+
+    def entry(self, name):
+        """The schema entry a parameter was allocated from, or None."""
+        return self._entries.get(name)
 
     def __contains__(self, name):
         return name in self._params
@@ -116,14 +219,10 @@ class ParameterRegistry:
         return list(self._params.items())
 
     def is_trainable(self, name):
-        return self._trainable[name]
-
-    def set_trainable(self, name, flag):
-        self._trainable[name] = bool(flag)
-        self._params[name].requires_grad = bool(flag)
+        return self._params[name].requires_grad
 
     def trainable_items(self):
-        return [(n, t) for n, t in self._params.items() if self._trainable[n]]
+        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     @property
     def total_count(self):
@@ -131,20 +230,25 @@ class ParameterRegistry:
 
     @property
     def trainable_count(self):
-        return sum(t.size for n, t in self._params.items() if self._trainable[n])
+        return sum(t.size for _, t in self.trainable_items())
 
     @property
     def frozen_count(self):
         return self.total_count - self.trainable_count
 
     def save(self, path):
-        """One line per parameter: name, shape, trainable flag, values."""
+        """One line per parameter: name, schema group, layer and init (empty
+        without an entry), shape, trainable flag, values."""
         with open(path, "w", encoding="utf-8") as fh:
             for name, t in self._params.items():
+                p = self._entries.get(name)
+                group, layer, init = ((p.group, "" if p.layer is None else p.layer,
+                                       p.init) if p else ("", "", ""))
                 shape = ",".join(str(d) for d in t.data.shape)
-                flag = "1" if self._trainable[name] else "0"
+                flag = "1" if t.requires_grad else "0"
                 values = " ".join(repr(float(v)) for v in t.data.reshape(-1))
-                fh.write(f"{name}\t{shape}\t{flag}\t{values}\n")
+                fh.write(f"{name}\t{group}\t{layer}\t{init}\t{shape}\t{flag}"
+                         f"\t{values}\n")
 
     @classmethod
     def load(cls, path):
@@ -154,12 +258,14 @@ class ParameterRegistry:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                name, shape_s, flag, values_s = line.split("\t")
+                name, group, layer, init, shape_s, flag, values_s = line.split("\t")
                 shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
                 values = np.fromiter(
                     (float(v) for v in values_s.split(" ")), dtype=np.float64
                 ).reshape(shape)
-                reg.add(name, values, trainable=flag == "1")
+                entry = (Param(name, shape, group, int(layer) if layer else None,
+                               init) if group else None)
+                reg.add(name, values, trainable=flag == "1", entry=entry)
         return reg
 
 
@@ -169,57 +275,10 @@ def trainable_parameters(registry):
     return names, registry.total_count, registry.trainable_count
 
 
-def _truncated_normal(rng, shape, std=INIT_STD):
-    """Normal(0, std) with redraws beyond two standard deviations."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
-    return out
-
-
 def build_encoder(config, seed, include_head=True):
-    """Initialize all encoder parameters (and the affine span head).
-
-    Weights are truncated-normal (std 0.02); biases zero; layer-norm gains
-    one; adapter up-projections zero so adapters start as identities.
-    """
-    rng = np.random.default_rng(seed)
-    reg = ParameterRegistry()
-    H, I = config.hidden_size, config.intermediate_size
-
-    reg.add("embeddings.token", _truncated_normal(rng, (config.vocab_size, H)))
-    reg.add("embeddings.position", _truncated_normal(rng, (config.max_seq_len, H)))
-    reg.add("embeddings.segment", _truncated_normal(rng, (config.segment_types, H)))
-    reg.add("embeddings.ln_gain", np.ones(H))
-    reg.add("embeddings.ln_bias", np.zeros(H))
-
-    for i in range(config.num_layers):
-        p = f"layer{i}"
-        for proj in ("q", "k", "v", "o"):
-            reg.add(f"{p}.attn.{proj}_w", _truncated_normal(rng, (H, H)))
-            reg.add(f"{p}.attn.{proj}_b", np.zeros(H))
-        reg.add(f"{p}.ln1_gain", np.ones(H))
-        reg.add(f"{p}.ln1_bias", np.zeros(H))
-        reg.add(f"{p}.ffn.w1", _truncated_normal(rng, (H, I)))
-        reg.add(f"{p}.ffn.b1", np.zeros(I))
-        reg.add(f"{p}.ffn.w2", _truncated_normal(rng, (I, H)))
-        reg.add(f"{p}.ffn.b2", np.zeros(H))
-        reg.add(f"{p}.ln2_gain", np.ones(H))
-        reg.add(f"{p}.ln2_bias", np.zeros(H))
-        if config.adapter is not None:
-            a = config.adapter.adapter_size
-            for slot in ("adapter_attn", "adapter_ffn"):
-                reg.add(f"{p}.{slot}.down_w", _truncated_normal(rng, (H, a)))
-                reg.add(f"{p}.{slot}.down_b", np.zeros(a))
-                reg.add(f"{p}.{slot}.up_w", np.zeros((a, H)))
-                reg.add(f"{p}.{slot}.up_b", np.zeros(H))
-
-    if include_head:
-        reg.add("head.w", _truncated_normal(rng, (H, 2)))
-        reg.add("head.b", np.zeros(2))
-    return reg
+    """Allocate every parameter of ``parameter_schema`` from one seed."""
+    return ParameterRegistry().allocate(parameter_schema(config, include_head),
+                                        seed)
 
 
 def _adapter(reg, prefix, z):
@@ -305,25 +364,16 @@ def span_head_logits(registry, sequence_output):
 
 
 def apply_freeze_policy(registry, config, policy):
-    """Set trainable flags in place; returns the registry for chaining."""
+    """Set trainable flags in place from each parameter's schema group and
+    layer; returns the registry for chaining."""
     if not 0 <= policy.top_layers_trainable <= config.num_layers:
         raise ValueError(
             f"top_layers_trainable {policy.top_layers_trainable} out of range "
             f"0..{config.num_layers}"
         )
-    first_trainable_layer = config.num_layers - policy.top_layers_trainable
-    for name in registry.names():
-        if name.startswith("head.") or name.startswith("cacnn."):
-            registry.set_trainable(name, True)
-        elif name.rsplit(".", 1)[-1].startswith("ln"):
-            registry.set_trainable(name, True)
-        elif ".adapter_" in name:
-            registry.set_trainable(name, policy.adapters_trainable)
-        elif name.startswith("embeddings."):
-            registry.set_trainable(name, policy.embeddings_trainable)
-        elif name.startswith("layer"):
-            layer_idx = int(name.split(".")[0][len("layer"):])
-            registry.set_trainable(name, layer_idx >= first_trainable_layer)
-        else:
-            raise ValueError(f"unknown parameter group for {name!r}")
+    for name, t in registry.items():
+        p = registry.entry(name)
+        if p is None:
+            raise ValueError(f"parameter {name!r} has no schema entry")
+        t.requires_grad = policy.trains(p.group, p.layer, config.num_layers)
     return registry

@@ -27,10 +27,6 @@ class SpanExample:
     segments: np.ndarray    # 0 on the query side, 1 on the context side
     gold_span: tuple        # (start, end) inclusive; (0, 0) = unanswerable
 
-    @property
-    def attention_mask(self):
-        return np.ones(self.tokens.shape)
-
 
 def stack(examples):
     """Stack equal-length examples into one batch SpanExample."""
@@ -57,16 +53,12 @@ def _count_occurrences(haystack, needle):
     )
 
 
-def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
-                     unanswerable_fraction=0.0, max_tries=1000):
-    """Deterministic synthetic dataset of ``count`` examples of length seq_len.
+def check_request(seq_len, vocab_size, needle_len_range=(1, 2),
+                  unanswerable_fraction=0.0):
+    """Raise ValueError for arguments ``generate_dataset`` cannot honour.
 
-    Layout: [CLS] query [SEP] context, padded nowhere (context fills the
-    remainder). The query is a random k-gram with k drawn from
-    ``needle_len_range`` (inclusive). Queries draw from the upper half of the
-    word-id range and contexts from the lower half, which keeps the
-    exactly-one-occurrence constraint cheap to satisfy and the task learnable
-    at desk scale; occurrence counts are verified by scan regardless.
+    Returns the first query word id: queries draw from [split, vocab_size),
+    contexts from [FIRST_WORD_ID, split).
     """
     if not 0.0 <= unanswerable_fraction <= 1.0:
         raise ValueError("unanswerable_fraction must lie in [0, 1]")
@@ -78,8 +70,25 @@ def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
         raise ValueError(f"vocab_size {vocab_size} leaves too few word ids")
     context_start = 2 + hi  # CLS + longest query + SEP
     if context_start + 1 >= seq_len:
-        raise ValueError("seq_len too small for the requested needle lengths")
+        raise ValueError(f"seq_len {seq_len} too small for needle lengths "
+                         f"up to {hi}")
+    return split
 
+
+def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
+                     unanswerable_fraction=0.0, max_tries=1000):
+    """Deterministic synthetic dataset of ``count`` examples of length seq_len.
+
+    Layout: [CLS] query [SEP] context, padded nowhere (context fills the
+    remainder). The query is a random k-gram with k drawn from
+    ``needle_len_range`` (inclusive). Queries draw from the upper half of the
+    word-id range and contexts from the lower half, which keeps the
+    exactly-one-occurrence constraint cheap to satisfy and the task learnable
+    at desk scale; occurrence counts are verified by scan regardless.
+    """
+    split = check_request(seq_len, vocab_size, needle_len_range,
+                          unanswerable_fraction)
+    lo, hi = needle_len_range
     rng = np.random.default_rng(seed)
     examples = []
     for _ in range(count):

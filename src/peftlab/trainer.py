@@ -28,6 +28,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,13 +93,12 @@ class Model:
     """Encoder plus task head; the unit train and evaluate operate on."""
     registry: "enc.ParameterRegistry"
     config: "enc.EncoderConfig"
-    head: object = "affine_span"  # or a CacnnConfig
+    head: object = enc.AFFINE_SPAN  # or a CacnnConfig
 
     def span_logits(self, batch):
         """Start and end logits [..., L] of one example or a stacked batch."""
-        x = enc.forward(self.registry, self.config, batch.tokens,
-                        batch.segments, batch.attention_mask)
-        if self.head == "affine_span":
+        x = enc.forward(self.registry, self.config, batch.tokens, batch.segments)
+        if self.head == enc.AFFINE_SPAN:
             return enc.span_head_logits(self.registry, x)
         maps = cacnn_mod.forward(x, self.registry, self.head)
         return cacnn_mod.head_logits(maps, self.registry)

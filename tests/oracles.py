@@ -80,3 +80,71 @@ def adam_reference(data, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     m_hat = m / (1 - beta1**t)
     v_hat = v / (1 - beta2**t)
     return data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def _truncated_normal(rng, shape, std=0.02):
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+    return out
+
+
+def build_encoder_reference(config, seed, include_head=True):
+    """The encoder layout written out by hand: [(name, values)] in order."""
+    rng = np.random.default_rng(seed)
+    params = []
+
+    def add(name, values):
+        params.append((name, np.asarray(values, dtype=np.float64)))
+
+    H, I = config.hidden_size, config.intermediate_size
+    add("embeddings.token", _truncated_normal(rng, (config.vocab_size, H)))
+    add("embeddings.position", _truncated_normal(rng, (config.max_seq_len, H)))
+    add("embeddings.segment", _truncated_normal(rng, (config.segment_types, H)))
+    add("embeddings.ln_gain", np.ones(H))
+    add("embeddings.ln_bias", np.zeros(H))
+    for i in range(config.num_layers):
+        p = f"layer{i}"
+        for proj in ("q", "k", "v", "o"):
+            add(f"{p}.attn.{proj}_w", _truncated_normal(rng, (H, H)))
+            add(f"{p}.attn.{proj}_b", np.zeros(H))
+        add(f"{p}.ln1_gain", np.ones(H))
+        add(f"{p}.ln1_bias", np.zeros(H))
+        add(f"{p}.ffn.w1", _truncated_normal(rng, (H, I)))
+        add(f"{p}.ffn.b1", np.zeros(I))
+        add(f"{p}.ffn.w2", _truncated_normal(rng, (I, H)))
+        add(f"{p}.ffn.b2", np.zeros(H))
+        add(f"{p}.ln2_gain", np.ones(H))
+        add(f"{p}.ln2_bias", np.zeros(H))
+        if config.adapter is not None:
+            a = config.adapter.adapter_size
+            for slot in ("adapter_attn", "adapter_ffn"):
+                add(f"{p}.{slot}.down_w", _truncated_normal(rng, (H, a)))
+                add(f"{p}.{slot}.down_b", np.zeros(a))
+                add(f"{p}.{slot}.up_w", np.zeros((a, H)))
+                add(f"{p}.{slot}.up_b", np.zeros(H))
+    if include_head:
+        add("head.w", _truncated_normal(rng, (H, 2)))
+        add("head.b", np.zeros(2))
+    return params
+
+
+def build_cacnn_reference(config, hidden_size, seed):
+    """The CACNN head layout written out by hand: [(name, values)] in order."""
+    rng = np.random.default_rng(seed)
+    params = [
+        ("cacnn.init_filters", _truncated_normal(
+            rng, (config.initial_filters, config.initial_width, hidden_size))),
+        ("cacnn.init_bias", np.zeros(config.initial_filters)),
+    ]
+    if config.variant == "context_vector":
+        params += [
+            ("cacnn.context_filters", _truncated_normal(
+                rng, (config.context_filters, config.context_width, 1))),
+            ("cacnn.context_bias", np.zeros(config.context_filters)),
+        ]
+    params += [("cacnn.head_w", _truncated_normal(rng, (config.sample_filters, 2))),
+               ("cacnn.head_b", np.zeros(2))]
+    return params

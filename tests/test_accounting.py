@@ -191,3 +191,16 @@ class TestCountReportInvariant:
         ):
             rep = count(cfg, pol)
             assert rep.total >= rep.trainable_under_policy
+
+
+def test_count_allocates_no_weights_at_bert_base():
+    import tracemalloc
+    cfg = bert_base_config(adapter=AdapterConfig(64))
+    tracemalloc.start()
+    try:
+        rep = count(cfg, policy(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.trainable_under_policy == 2_419_202
+    assert peak < 1_000_000

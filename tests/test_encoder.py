@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from peftlab import accounting
+from peftlab import accounting, cacnn
 from peftlab import encoder as enc
+from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import (AdapterConfig, EncoderConfig, FreezePolicy,
                              bert_base_config, build_encoder, desk_config,
                              trainable_parameters)
-from peftlab.trainer import Model, TrainConfig, train
+from peftlab.trainer import Adam, Model, TrainConfig, train
 from peftlab.span import generate_dataset
+
+from oracles import build_cacnn_reference, build_encoder_reference
 
 
 TINY = EncoderConfig(vocab_size=16, hidden_size=8, num_layers=2, num_heads=2,
@@ -237,3 +240,116 @@ class TestBatchAxis:
         assert ops.count("attention") == cfg.num_layers
         assert ops.count("split") == 2      # the head's start/end columns
         assert "concat" not in ops and "softmax" not in ops
+
+
+CACNN_VARIANTS = [
+    CacnnConfig(CONTEXT_VECTOR, initial_filters=8, initial_width=3,
+                sample_filters=4, sample_width=3, context_width=3,
+                context_filters=4),
+    CacnnConfig(SIMPLIFIED, initial_filters=8, initial_width=3,
+                sample_filters=4, sample_width=3),
+]
+
+
+def assert_same_parameters(reg, reference):
+    assert reg.names() == [name for name, _ in reference]
+    for name, values in reference:
+        assert reg[name].data.dtype == values.dtype
+        assert reg[name].data.tobytes() == values.tobytes(), name
+        assert reg[name].shape == values.shape, name
+
+
+class TestSchema:
+    @pytest.mark.parametrize("adapter", [None, AdapterConfig(8)])
+    @pytest.mark.parametrize("include_head", [True, False])
+    def test_registry_matches_hand_written_layout(self, adapter, include_head):
+        cfg = desk_config(adapter=adapter)
+        for seed in (0, 11):
+            reg = build_encoder(cfg, seed, include_head=include_head)
+            assert_same_parameters(
+                reg, build_encoder_reference(cfg, seed, include_head))
+
+    @pytest.mark.parametrize("head", CACNN_VARIANTS,
+                             ids=lambda h: h.variant)
+    def test_cacnn_registry_matches_hand_written_layout(self, head):
+        cfg = desk_config()
+        reg = build_encoder(cfg, 3, include_head=False)
+        cacnn.build_params(reg, head, cfg.hidden_size, 4)
+        assert_same_parameters(
+            reg, build_encoder_reference(cfg, 3, include_head=False)
+            + build_cacnn_reference(head, cfg.hidden_size, 4))
+
+    def test_schema_groups_are_count_report_fields(self):
+        cfg = desk_config(adapter=AdapterConfig(4))
+        schema = (enc.parameter_schema(cfg)
+                  + cacnn.parameter_schema(CACNN_VARIANTS[0], cfg.hidden_size))
+        fields = {"embeddings", "attention", "ffn", "layer_norms", "adapters",
+                  "head"}
+        assert {p.group for p in schema} == fields
+        assert {p.init for p in schema} == {"normal", "zeros", "ones"}
+        for p in schema:
+            outside = p.name.startswith(("embeddings.", "head.", "cacnn."))
+            assert (p.layer is None) == outside, p.name
+
+    def test_requires_grad_is_the_trainable_flag(self):
+        cfg = desk_config()
+        reg = build_encoder(cfg, seed=0)
+        enc.apply_freeze_policy(reg, cfg, FreezePolicy(0, False))
+        before = reg.trainable_count
+        name = "layer0.attn.q_w"
+        assert not reg.is_trainable(name)
+        reg[name].requires_grad = True
+        assert reg.is_trainable(name)
+        assert reg.trainable_count == before + reg[name].size
+        assert name in dict(reg.trainable_items())
+        opt = Adam(reg, lr=1e-3)
+        assert name in opt.m
+        reg[name].grad = np.ones(reg[name].shape)
+        old = reg[name].data.copy()
+        opt.step()
+        assert not np.array_equal(reg[name].data, old)
+
+        reg["head.w"].requires_grad = False
+        assert not reg.is_trainable("head.w")
+        assert "head.w" not in Adam(reg, lr=1e-3).m
+
+    @pytest.mark.parametrize("head", [None] + CACNN_VARIANTS,
+                             ids=["affine", "context_vector", "simplified"])
+    def test_save_load_then_freeze_gives_the_saved_flags(self, tmp_path, head):
+        cfg = desk_config(adapter=AdapterConfig(3))
+        policy = FreezePolicy(1, False)
+        reg = build_encoder(cfg, seed=2, include_head=head is None)
+        if head is not None:
+            cacnn.build_params(reg, head, cfg.hidden_size, 3)
+        enc.apply_freeze_policy(reg, cfg, policy)
+        path = tmp_path / "checkpoint.txt"
+        reg.save(path)
+        loaded = enc.ParameterRegistry.load(path)
+        for name in loaded.names():
+            loaded[name].requires_grad = True
+        enc.apply_freeze_policy(loaded, cfg, policy)
+        assert [(n, loaded.is_trainable(n)) for n in loaded.names()] == \
+            [(n, reg.is_trainable(n)) for n in reg.names()]
+
+    def test_parameter_without_schema_entry_is_rejected(self):
+        reg = build_encoder(TINY, seed=0)
+        reg.add("layer0.attn.extra_w", np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="layer0.attn.extra_w"):
+            enc.apply_freeze_policy(reg, TINY, FreezePolicy(1, False))
+
+    def test_training_step_adds_no_attention_mask(self, monkeypatch):
+        from peftlab import autograd as ag
+        from peftlab.span import stack
+        from peftlab.trainer import example_loss
+        masks = []
+        attention = ag.attention
+
+        def spy(q, k, v, scale, mask_bias=None):
+            masks.append(mask_bias)
+            return attention(q, k, v, scale, mask_bias)
+
+        monkeypatch.setattr(ag, "attention", spy)
+        cfg = desk_config()
+        ds = generate_dataset(seed=0, count=2, seq_len=16, vocab_size=64)
+        example_loss(Model(build_encoder(cfg, seed=0), cfg), stack(ds))
+        assert masks == [None] * cfg.num_layers

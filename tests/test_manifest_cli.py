@@ -252,6 +252,26 @@ class TestRun:
         assert "bogus_key" in capsys.readouterr().err
 
 
+INVALID_BODIES = ["batch_size = 0", "epochs = 0", "adapter_size = 0",
+                  "num_heads = 0", "hidden_size = 0",
+                  "unanswerable_fraction = 2", "dataset_len = 1",
+                  "vocab_size = 1", "dataset_count = -3", "seed = -1"]
+
+
+@pytest.mark.parametrize("command", ["count", "run"])
+@pytest.mark.parametrize("body", INVALID_BODIES)
+def test_invalid_manifest_exits_1_with_a_message(tmp_path, capsys, command,
+                                                 body):
+    manifest = write_manifest(tmp_path, f"[bad]\n{body}\n")
+    flag = "--config" if command == "count" else "--manifest"
+    code = cli.main([command, flag, manifest, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [bad] ")
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out" / "report.csv")
+
+
 class TestPlotdata:
     def write_report(self, tmp_path, name, labels):
         path = tmp_path / name
