@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import autograd as ag
-from .encoder import Param
+from .encoder import Param, start_end_logits
 
 CONTEXT_VECTOR = "context_vector"
 SIMPLIFIED = "simplified"
@@ -92,70 +92,39 @@ def build_params(registry, config, hidden_size, seed):
     return registry.allocate(parameter_schema(config, hidden_size), seed)
 
 
-def _initial_maps(x, registry):
-    return ag.add(ag.conv1d(x, registry["cacnn.init_filters"], "same"),
-                  registry["cacnn.init_bias"])
+def forward(x, registry, config):
+    """Synthesize per-example filters and convolve them over x.
 
-
-def _first(flat, target):
-    """The first ``target`` entries along the last axis."""
-    if flat.shape[-1] == target:
-        return flat
-    return ag.split(flat, [target, flat.shape[-1] - target], -1)[0]
-
-
-def _tile_to(flat, target):
-    """Cyclically repeat along the last axis and truncate to ``target`` entries."""
-    reps = -(-target // flat.shape[-1])
-    return _first(ag.concat([flat] * reps, -1) if reps > 1 else flat, target)
-
-
-def forward_context_vector(x, registry, config):
-    """Figure-style head with context vectorization; x [..., L,H] -> [..., L,K]."""
-    if config.variant != CONTEXT_VECTOR:
-        raise ValueError("config is not a context_vector variant")
-    lead, H = x.shape[:-2], x.shape[-1]
-    maps = _initial_maps(x, registry)                            # [..., L, n_f]
-    reduce = ag.max_reduce if config.reduction == "max" else ag.sum_reduce
-    context = reduce(maps, -2)                                   # [..., n_f]
-    signal = ag.reshape(context, lead + (config.initial_filters, 1))
-    ctx_maps = ag.add(
-        ag.conv1d(signal, registry["cacnn.context_filters"], "valid"),
-        registry["cacnn.context_bias"],
-    )                                                    # [..., n_f-w_c+1, m]
-    flat = ag.reshape(ctx_maps, lead + (ctx_maps.shape[-2] * ctx_maps.shape[-1],))
-    needed = config.sample_filters * config.sample_width * H
-    filters = ag.reshape(
-        _tile_to(flat, needed),
-        lead + (config.sample_filters, config.sample_width, H),
-    )
-    return ag.conv1d(x, filters, "same")
-
-
-def forward_simplified(x, registry, config):
-    """Head without context vectorization; x [..., L,H] -> [..., L,K]."""
-    if config.variant != SIMPLIFIED:
-        raise ValueError("config is not a simplified variant")
+    x [..., L,H] -> [..., L,K]. The variant only decides what the flat filter
+    vector is cut from: the context-vector head convolves the length-reduced
+    first feature maps and tiles the result, the simplified head truncates the
+    first feature maps themselves.
+    """
     lead, (L, H) = x.shape[:-2], x.shape[-2:]
     validate(config, L, H)
-    maps = _initial_maps(x, registry)                            # [..., L, n_f]
-    flat = ag.reshape(maps, lead + (L * config.initial_filters,))
-    needed = config.sample_filters * config.sample_width * H
-    filters = ag.reshape(_first(flat, needed),
-                         lead + (config.sample_filters, config.sample_width, H))
-    return ag.conv1d(x, filters, "same")
-
-
-def forward(x, registry, config):
+    maps = ag.add(ag.conv1d(x, registry["cacnn.init_filters"], "same"),
+                  registry["cacnn.init_bias"])                   # [..., L, n_f]
     if config.variant == CONTEXT_VECTOR:
-        return forward_context_vector(x, registry, config)
-    return forward_simplified(x, registry, config)
+        reduce = ag.max_reduce if config.reduction == "max" else ag.sum_reduce
+        signal = ag.reshape(reduce(maps, -2),
+                            lead + (config.initial_filters, 1))
+        maps = ag.add(
+            ag.conv1d(signal, registry["cacnn.context_filters"], "valid"),
+            registry["cacnn.context_bias"],
+        )                                                # [..., n_f-w_c+1, m]
+    flat = ag.reshape(maps, lead + (maps.shape[-2] * maps.shape[-1],))
+    needed = config.sample_filters * config.sample_width * H
+    reps = -(-needed // flat.shape[-1])  # validate keeps simplified at 1
+    if reps > 1:
+        flat = ag.concat([flat] * reps, -1)
+    if flat.shape[-1] > needed:
+        flat = ag.split(flat, [needed, flat.shape[-1] - needed], -1)[0]
+    filters = ag.reshape(flat, lead + (config.sample_filters,
+                                       config.sample_width, H))
+    return ag.conv1d(x, filters, "same")
 
 
 def head_logits(feature_maps, registry):
     """Affine K -> 2 per position; returns (start_logits, end_logits)."""
-    logits = ag.add(ag.matmul(feature_maps, registry["cacnn.head_w"]),
-                    registry["cacnn.head_b"])
-    start, end = ag.split(logits, [1, 1], -1)
-    lead = feature_maps.shape[:-1]
-    return ag.reshape(start, lead), ag.reshape(end, lead)
+    return start_end_logits(feature_maps, registry["cacnn.head_w"],
+                            registry["cacnn.head_b"])

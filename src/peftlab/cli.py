@@ -1,6 +1,6 @@
 """Experiment runner CLI: count, run, gradcheck, plotdata, generate-data.
 
-Exit codes: 0 success, 1 validation error, 2 runtime/divergence error.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime or divergence.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 
 from . import accounting, cacnn as cacnn_mod, checks, encoder as enc
 from .manifest import ManifestError, parse_manifest
@@ -103,15 +101,10 @@ def cmd_run(args):
         return EXIT_OK
 
     # each finished row reaches disk at once, so an interrupt keeps it
-    parallel = args.parallel and len(todo) > 1
     try:
-        # wall-clock timings are not comparable across parallel workers
-        with ProcessPoolExecutor() if parallel else nullcontext() as pool:
-            rows = (pool.map(_run_experiment, todo, [out_dir] * len(todo))
-                    if parallel else (_run_experiment(s, out_dir) for s in todo))
-            for spec, row in zip(todo, rows):
-                existing[spec.label] = row
-                _write_report(report_path, specs, existing)
+        for spec in todo:
+            existing[spec.label] = _run_experiment(spec, out_dir)
+            _write_report(report_path, specs, existing)
     except GenerationError as exc:
         return _fail(EXIT_VALIDATION, exc)
     except TrainingDiverged as exc:
@@ -201,8 +194,16 @@ def cmd_generate_data(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peftlab",
         description="Parameter-efficiency experiments: layer freezing, "
                     "adapters, and context-aware convolutional heads on a "
@@ -218,8 +219,6 @@ def build_parser():
     p = sub.add_parser("run", help="train and evaluate every manifest entry")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default="out", help="directory for report CSVs")
-    p.add_argument("--parallel", action="store_true",
-                   help="run experiments in parallel (timings not comparable)")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")

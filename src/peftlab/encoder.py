@@ -355,12 +355,18 @@ def forward(registry, config, tokens, segments, attention_mask=None):
     return x
 
 
+def start_end_logits(features, w, b):
+    """Per-position affine features [..., L,F] -> 2, read out as the
+    (start_logits, end_logits) pair, each [..., L]."""
+    start, end = ag.split(ag.add(ag.matmul(features, w), b), [1, 1], -1)
+    lead = features.shape[:-1]
+    return ag.reshape(start, lead), ag.reshape(end, lead)
+
+
 def span_head_logits(registry, sequence_output):
     """Per-position affine hidden -> 2; returns (start_logits, end_logits)."""
-    logits = ag.add(ag.matmul(sequence_output, registry["head.w"]), registry["head.b"])
-    start, end = ag.split(logits, [1, 1], -1)
-    lead = sequence_output.shape[:-1]
-    return ag.reshape(start, lead), ag.reshape(end, lead)
+    return start_end_logits(sequence_output, registry["head.w"],
+                            registry["head.b"])
 
 
 def apply_freeze_policy(registry, config, policy):

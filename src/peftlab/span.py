@@ -47,10 +47,11 @@ class GenerationError(RuntimeError):
 
 
 def _count_occurrences(haystack, needle):
-    n, k = len(haystack), len(needle)
-    return sum(
-        1 for i in range(n - k + 1) if np.array_equal(haystack[i:i + k], needle)
-    )
+    """Positions where ``needle`` occurs in ``haystack``, overlaps included."""
+    if len(needle) > len(haystack):
+        return 0
+    windows = np.lib.stride_tricks.sliding_window_view(haystack, len(needle))
+    return int((windows == needle).all(axis=-1).sum())
 
 
 def check_request(seq_len, vocab_size, needle_len_range=(1, 2),

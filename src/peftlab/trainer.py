@@ -30,6 +30,9 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got "
+                             f"{self.learning_rate}")
 
 
 class TrainingDiverged(RuntimeError):

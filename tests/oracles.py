@@ -73,6 +73,16 @@ def decode_span_enumeration(start_logits, end_logits, max_answer_len):
     return best_span
 
 
+def count_occurrences_loops(haystack, needle):
+    """Start positions where every needle token matches, one scalar at a time."""
+    n, k = len(haystack), len(needle)
+    count = 0
+    for i in range(n - k + 1):
+        if all(haystack[i + j] == needle[j] for j in range(k)):
+            count += 1
+    return count
+
+
 def adam_reference(data, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One textbook Adam step (Kingma & Ba); returns new (data, m, v)."""
     m = beta1 * m + (1 - beta1) * g

@@ -6,7 +6,7 @@ import pytest
 
 from peftlab import autograd as ag
 from peftlab.autograd import ShapeError, Tensor
-from peftlab.gradcheck import check_gradients, random_tensor
+from peftlab.checks import check_gradients, random_tensor
 
 from oracles import conv1d_loops
 

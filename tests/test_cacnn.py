@@ -5,7 +5,7 @@ from peftlab import autograd as ag
 from peftlab import cacnn
 from peftlab.cacnn import CacnnConfig, CONTEXT_VECTOR, SIMPLIFIED
 from peftlab.encoder import ParameterRegistry
-from peftlab.gradcheck import check_gradients
+from peftlab.checks import check_gradients
 
 from oracles import cacnn_context_vector_loops, cacnn_simplified_loops
 
@@ -75,7 +75,7 @@ class TestContextVectorForward:
                       reg["cacnn.init_bias"])
         context = ag.max_reduce(maps, 0)
         assert np.allclose(context.data, maps.data[0])
-        out = cacnn.forward_context_vector(x, reg, cfg)
+        out = cacnn.forward(x, reg, cfg)
         assert np.allclose(out.data, np.tile(out.data[0], (6, 1)))
 
     def test_matches_step_by_step_oracle_exactly(self):
@@ -87,7 +87,7 @@ class TestContextVectorForward:
         reg["cacnn.init_bias"].data[:] = rng.standard_normal(4)
         reg["cacnn.context_bias"].data[:] = rng.standard_normal(2)
         x = rng.standard_normal((6, 3))
-        out = cacnn.forward_context_vector(ag.Tensor(x), reg, cfg)
+        out = cacnn.forward(ag.Tensor(x), reg, cfg)
         assert np.array_equal(out.data, run_oracle(x, reg, cfg))
 
     def test_sum_reduction_supported(self):
@@ -96,7 +96,7 @@ class TestContextVectorForward:
         rng = np.random.default_rng(3)
         reg = make_head(cfg, hidden_size=4, seed=3)
         x = rng.standard_normal((5, 4))
-        out = cacnn.forward_context_vector(ag.Tensor(x), reg, cfg)
+        out = cacnn.forward(ag.Tensor(x), reg, cfg)
         assert np.array_equal(out.data, run_oracle(x, reg, cfg))
 
     def test_runs_at_bert_scale_k20(self):
@@ -105,7 +105,7 @@ class TestContextVectorForward:
                           context_filters=8)
         reg = make_head(cfg, hidden_size=768, seed=4)
         x = ag.Tensor(np.random.default_rng(4).standard_normal((32, 768)))
-        out = cacnn.forward_context_vector(x, reg, cfg)
+        out = cacnn.forward(x, reg, cfg)
         assert out.shape == (32, 20)
         assert reg.total_count == cacnn.parameter_count(cfg, 768)
 
@@ -116,7 +116,7 @@ class TestSimplifiedForward:
                           sample_filters=2, sample_width=2)
         reg = make_head(cfg, hidden_size=2, seed=5)
         reg["cacnn.init_bias"].data[:] = 1.3  # bias must not leak through
-        out = cacnn.forward_simplified(ag.Tensor(np.zeros((8, 2))), reg, cfg)
+        out = cacnn.forward(ag.Tensor(np.zeros((8, 2))), reg, cfg)
         assert np.all(out.data == 0.0)
 
     def test_matches_oracle_exactly(self):
@@ -126,7 +126,7 @@ class TestSimplifiedForward:
         reg = make_head(cfg, hidden_size=2, seed=6)
         reg["cacnn.init_bias"].data[:] = rng.standard_normal(2)
         x = rng.standard_normal((8, 2))
-        out = cacnn.forward_simplified(ag.Tensor(x), reg, cfg)
+        out = cacnn.forward(ag.Tensor(x), reg, cfg)
         assert np.array_equal(out.data, run_oracle(x, reg, cfg))
 
     def test_runs_at_bert_scale_k4(self):
@@ -134,7 +134,7 @@ class TestSimplifiedForward:
                           sample_filters=4, sample_width=3)
         reg = make_head(cfg, hidden_size=768, seed=7)
         x = ag.Tensor(np.random.default_rng(7).standard_normal((160, 768)))
-        out = cacnn.forward_simplified(x, reg, cfg)
+        out = cacnn.forward(x, reg, cfg)
         assert out.shape == (160, 4)
 
 

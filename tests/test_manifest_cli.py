@@ -255,7 +255,9 @@ class TestRun:
 INVALID_BODIES = ["batch_size = 0", "epochs = 0", "adapter_size = 0",
                   "num_heads = 0", "hidden_size = 0",
                   "unanswerable_fraction = 2", "dataset_len = 1",
-                  "vocab_size = 1", "dataset_count = -3", "seed = -1"]
+                  "vocab_size = 1", "dataset_count = -3", "seed = -1",
+                  "learning_rate = nan", "learning_rate = inf",
+                  "learning_rate = 0", "learning_rate = -1"]
 
 
 @pytest.mark.parametrize("command", ["count", "run"])
@@ -270,6 +272,26 @@ def test_invalid_manifest_exits_1_with_a_message(tmp_path, capsys, command,
     assert err.startswith("error: [bad] ")
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out" / "report.csv")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        [], ["run"], ["run", "--manifest", "m.cfg", "--parallel"],
+        ["gradcheck", "--seeds", "x"], ["count"], ["frobnicate"],
+    ])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: peftlab" in err and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: peftlab" in capsys.readouterr().out
 
 
 class TestPlotdata:

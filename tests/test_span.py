@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from peftlab.span import (SpanExample, SpanPrediction, decode_span,
                           generate_dataset, load_dataset, save_dataset, score,
                           _count_occurrences)
 
-from oracles import decode_span_enumeration
+from oracles import count_occurrences_loops, decode_span_enumeration
 
 
 class TestGenerate:
@@ -59,6 +60,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_dataset(seed=0, count=1, seq_len=32, vocab_size=64,
                              unanswerable_fraction=1.5)
+
+    @given(st.lists(st.integers(0, 2), max_size=12),
+           st.lists(st.integers(0, 2), min_size=1, max_size=4))
+    def test_count_matches_brute_force(self, haystack, needle):
+        haystack = np.array(haystack, dtype=np.int64)
+        needle = np.array(needle, dtype=np.int64)
+        assert _count_occurrences(haystack, needle) == \
+            count_occurrences_loops(haystack, needle)
 
     def test_round_trip_serialization(self, tmp_path):
         ds = generate_dataset(seed=5, count=12, seq_len=24, vocab_size=64,
