@@ -30,6 +30,34 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
 
 
+BLOCK = 1 << 15  # elements per block: 256 KiB of float64, sized for L2
+
+
+def blockwise(kernel, arrays, outputs=0, scratch=0):
+    """Run an elementwise ``kernel`` over matching blocks of same-size arrays.
+
+    ``kernel(*arrays, *outs, *scratch)`` is called once per block of at most
+    BLOCK elements, in flat order, with a view of each array, a view of each
+    of the ``outputs`` result arrays to fill and ``scratch`` buffers of the
+    block's length; it may also update its array views in place, and such
+    an array must be C-contiguous. Arrays of one block or less (0-d ones
+    aside, which numpy ops would turn into scalars) are passed whole with
+    None for every output and scratch slot, so the kernel allocates them
+    itself and a small array costs no extra numpy call; the kernel returns
+    its outputs either way. Returns the outputs.
+    """
+    n = arrays[0].size
+    if n <= BLOCK and arrays[0].ndim:
+        return kernel(*arrays, *(None,) * (outputs + scratch))
+    outs = [np.empty(arrays[0].shape) for _ in range(outputs)]
+    bufs = [np.empty(min(n, BLOCK)) for _ in range(scratch)]
+    flat = [np.reshape(a, -1) for a in arrays + tuple(outs)]
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
+        kernel(*(f[lo:hi] for f in flat), *(b[:hi - lo] for b in bufs))
+    return tuple(outs)
+
+
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible with an operation."""
 
@@ -220,19 +248,56 @@ def tanh(x):
 
 
 def gelu(x):
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    Forward and backward run in place over blocks of at most BLOCK elements
+    (``blockwise``). Per element they keep the operation order of
+
+        t = tanh(√(2/π)·(v + 0.044715·v·v·v));  out = 0.5·v·(1 + t)
+        dx = 0.5·(1 + t) + 0.5·v·(1 − t·t)·√(2/π)·(1 + 3·0.044715·v·v)
+
+    so the results are bitwise those of the unblocked expressions. The
+    forward keeps ``t`` for the backward, so it holds two input-sized arrays.
+    """
     x = _as_tensor(x)
     v = x.data
-    inner = _SQRT_2_OVER_PI * (v + _GELU_C * (v * v * v))
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+    t, out = blockwise(_gelu_forward, (v,), outputs=2, scratch=1)
 
     def backward(g):
-        dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * v * v)
-        dx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
-        _accumulate(x, g * dx)
+        gx, = blockwise(_gelu_backward, (g, v, t), outputs=1, scratch=2)
+        _accumulate(x, gx)
 
     return _node(out, (x,), backward)
+
+
+def _gelu_forward(v, t, out, u):
+    t = np.multiply(v, v, out=t)
+    t *= v
+    t *= _GELU_C
+    t += v
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    out = np.multiply(v, 0.5, out=out)
+    u = np.add(t, 1.0, out=u)
+    out *= u
+    return t, out
+
+
+def _gelu_backward(g, v, t, gx, dinner, d):
+    dinner = np.multiply(v, 3.0 * _GELU_C, out=dinner)
+    dinner *= v
+    dinner += 1.0
+    dinner *= _SQRT_2_OVER_PI
+    d = np.multiply(t, t, out=d)
+    np.subtract(1.0, d, out=d)
+    gx = np.multiply(v, 0.5, out=gx)
+    gx *= d
+    gx *= dinner
+    np.add(t, 1.0, out=d)
+    d *= 0.5
+    d += gx                      # dx
+    np.multiply(g, d, out=gx)
+    return (gx,)
 
 
 def reshape(x, shape):

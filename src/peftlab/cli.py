@@ -7,15 +7,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 
 from . import accounting, cacnn as cacnn_mod, checks, encoder as enc
 from .manifest import ManifestError, parse_manifest
 from .span import GenerationError, generate_dataset, save_dataset
-from .trainer import (Model, TrainingDiverged, evaluate, save_loss_history,
-                      train)
+from .trainer import (Model, TrainingDiverged, efficiency_ratio, evaluate,
+                      save_loss_history, train)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -72,7 +71,7 @@ def _run_experiment(spec, out_dir):
                       os.path.join(out_dir, f"loss_{spec.label}.csv"))
 
     em, f1 = round(em, 1), round(f1, 1)
-    ratio = (f1 - 50.0) / math.log10(registry.trainable_count)
+    ratio = efficiency_ratio(f1, registry.trainable_count)
     adapter_size = config.adapter.adapter_size if config.adapter else ""
     return [spec.label, policy.top_layers_trainable, adapter_size,
             registry.trainable_count, f"{em:.1f}", f"{f1:.1f}",

@@ -160,12 +160,19 @@ def parameter_schema(config, include_head=True):
 
 
 def _truncated_normal(rng, shape, std=INIT_STD):
-    """Normal(0, std) with redraws beyond two standard deviations."""
+    """Normal(0, std) with redraws beyond two standard deviations.
+
+    The array is scanned once; each round then redraws only the entries the
+    previous round rejected, in flat index order, which draws the same
+    values from ``rng`` as rescanning the whole array every round.
+    """
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
     return out
 
 
@@ -189,7 +196,9 @@ class ParameterRegistry:
     def add(self, name, values, trainable=True, entry=None):
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(values, dtype=np.float64), requires_grad=trainable)
+        # C order, so Adam can update the array block by block in place
+        t = Tensor(np.asarray(values, dtype=np.float64, order="C"),
+                   requires_grad=trainable)
         self._params[name] = t
         if entry is not None:
             self._entries[name] = entry

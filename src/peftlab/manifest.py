@@ -56,7 +56,7 @@ def parse_manifest(path):
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot parse {path}: {exc}") from exc
 
     specs = []

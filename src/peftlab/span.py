@@ -73,6 +73,10 @@ def check_request(seq_len, vocab_size, needle_len_range=(1, 2),
     if context_start + 1 >= seq_len:
         raise ValueError(f"seq_len {seq_len} too small for needle lengths "
                          f"up to {hi}")
+    if unanswerable_fraction < 1.0 and seq_len - context_start < hi:
+        raise ValueError(f"seq_len {seq_len} leaves {seq_len - context_start} "
+                         f"context tokens, too few to hold an answer needle "
+                         f"of length {hi}")
     return split
 
 

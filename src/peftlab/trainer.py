@@ -60,18 +60,17 @@ class Adam:
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
             data -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
 
-        because the in-place steps keep their operation order. Each tensor
-        needs two temporaries instead of one per operation.
+        because the in-place steps keep their operation order. A tensor is
+        updated block by block (``autograd.blockwise``), so its two
+        temporaries are block-sized buffers that stay in cache; a tensor of
+        one block or less makes the same numpy calls as unblocked code.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for name, tensor in self.registry.trainable_items():
-            g = tensor.grad
-            if g is None:
-                continue
-            m, v = self.m[name], self.v[name]
-            scratch = np.multiply(1 - b1, g)
+
+        def update(data, m, v, g, scratch, quotient):
+            scratch = np.multiply(1 - b1, g, out=scratch)
             m *= b1
             m += scratch
             np.multiply(1 - b2, g, out=scratch)
@@ -80,11 +79,16 @@ class Adam:
             v += scratch
             np.divide(v, c2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            update = np.divide(m, c1)
-            update *= self.lr
-            update /= scratch
-            tensor.data -= update
+            scratch += eps
+            quotient = np.divide(m, c1, out=quotient)
+            quotient *= lr
+            quotient /= scratch
+            data -= quotient
+
+        for name, tensor in self.registry.trainable_items():
+            if tensor.grad is not None:
+                ag.blockwise(update, (tensor.data, self.m[name], self.v[name],
+                                      tensor.grad), scratch=2)
 
     def zero_grad(self):
         for _, tensor in self.registry.items():
@@ -175,10 +179,6 @@ def evaluate(model, dataset, train_config):
 
 def efficiency_ratio(f1_percent, trainable_count):
     """(F1 - 50) / log10(trainable parameter count), F1 on the 0-100 scale."""
-    if 0.0 < f1_percent <= 1.0:
-        raise ValueError(
-            f"f1_percent {f1_percent} looks like a fraction; pass a percentage"
-        )
     if trainable_count < 2:
         raise ValueError("trainable_count must be >= 2")
     return (f1_percent - 50.0) / math.log10(trainable_count)

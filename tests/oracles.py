@@ -5,6 +5,8 @@ numpy scalars, or textbook whole-array expressions, so they can serve as
 oracles for the vectorized and in-place paths.
 """
 
+import math
+
 import numpy as np
 
 
@@ -90,6 +92,19 @@ def adam_reference(data, m, v, g, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     m_hat = m / (1 - beta1**t)
     v_hat = v / (1 - beta2**t)
     return data - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def gelu_reference(v):
+    """Unblocked tanh-approximation gelu as whole-array expressions.
+
+    Returns (out, dx): the activation and its derivative with respect to v.
+    """
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (v + 0.044715 * (v * v * v)))
+    out = 0.5 * v * (1.0 + t)
+    dinner = c * (1.0 + 3.0 * 0.044715 * v * v)
+    dx = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
+    return out, dx
 
 
 def _truncated_normal(rng, shape, std=0.02):

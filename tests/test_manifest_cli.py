@@ -1,11 +1,15 @@
 import csv
+import io
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peftlab import checks, cli
 from peftlab.cacnn import CONTEXT_VECTOR, CacnnConfig
-from peftlab.manifest import ManifestError, parse_manifest
+from peftlab.manifest import KNOWN_KEYS, ManifestError, parse_manifest
 from peftlab.span import load_dataset
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -378,3 +382,45 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert any(line.startswith("FAIL") and "gelu" in line
                    for line in out.splitlines())
+
+
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["0", "1", "-1", "nan", "inf", "-inf", "1e999", "0.5",
+                     "yes", "no", "true", "", "bert-base", "desk", "cacnn",
+                     "affine_span", "simplified", "context_vector",
+                     "99999999999999999999", "3.0", "1_0", " 7 "]),
+    st.text(max_size=8),
+)
+_FUZZ_LINES = st.one_of(
+    st.builds("[{}]".format, st.sampled_from(["a", "b", "bad label", ""])),
+    st.builds("{} = {}".format,
+              st.sampled_from(sorted(KNOWN_KEYS) + ["bogus"]), _FUZZ_VALUES),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.lists(_FUZZ_LINES, max_size=12).map("\n".join).map("[a]\n".__add__),
+    st.text(max_size=60),
+))
+def test_any_manifest_text_counts_with_exit_0_or_1(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["count", "--config", path,
+                             "--out", os.path.join(tmp, "out")])
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_manifest_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "m.cfg"
+    path.write_bytes(b"[a]\nepochs = \xff\n")
+    code = cli.main(["count", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: cannot parse")

@@ -61,6 +61,18 @@ class TestGenerate:
             generate_dataset(seed=0, count=1, seq_len=32, vocab_size=64,
                              unanswerable_fraction=1.5)
 
+    def test_needle_longer_than_answerable_context_rejected(self):
+        with pytest.raises(ValueError, match=r"seq_len 9 .*length 5"):
+            generate_dataset(seed=0, count=64, seq_len=9, vocab_size=64,
+                             needle_len_range=(1, 5),
+                             unanswerable_fraction=1 / 3)
+
+    def test_unanswerable_only_needs_no_room_for_the_needle(self):
+        data = generate_dataset(seed=0, count=8, seq_len=9, vocab_size=64,
+                                needle_len_range=(1, 5),
+                                unanswerable_fraction=1.0)
+        assert all(ex.gold_span == (0, 0) for ex in data)
+
     @given(st.lists(st.integers(0, 2), max_size=12),
            st.lists(st.integers(0, 2), min_size=1, max_size=4))
     def test_count_matches_brute_force(self, haystack, needle):

@@ -190,9 +190,9 @@ class TestEfficiencyRatio:
         assert efficiency_ratio(76.3, 108_311_810) == pytest.approx(3.27,
                                                                     abs=0.01)
 
-    def test_rejects_fractional_f1(self):
-        with pytest.raises(ValueError):
-            efficiency_ratio(0.752, 42_548_738)
+    def test_f1_below_one_percent_is_a_real_score(self):
+        assert efficiency_ratio(0.752, 42_548_738) == pytest.approx(
+            (0.752 - 50.0) / np.log10(42_548_738), rel=1e-12)
 
     def test_rejects_tiny_count(self):
         with pytest.raises(ValueError):
