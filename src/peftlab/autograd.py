@@ -237,16 +237,6 @@ def scale(x, c):
     return _node(x.data * c, (x,), backward)
 
 
-def tanh(x):
-    x = _as_tensor(x)
-    t = np.tanh(x.data)
-
-    def backward(g):
-        _accumulate(x, g * (1.0 - t * t))
-
-    return _node(t, (x,), backward)
-
-
 def gelu(x):
     """Gaussian error linear unit, tanh approximation.
 
@@ -432,15 +422,13 @@ def softmax(x, axis):
     return _node(y, (x,), backward)
 
 
-def attention(q, k, v, scale, mask_bias=None):
-    """Scaled dot-product attention, softmax(q @ kᵀ * scale + mask_bias) @ v.
+def attention(q, k, v, scale):
+    """Scaled dot-product attention, softmax(q @ kᵀ * scale) @ v.
 
     q is [..., L, d]; k and v are [..., L', d] with the same leading axes
-    (for multi-head attention, [B, A, L, d]). ``mask_bias`` is None or a
-    constant (array or Tensor; it gets no gradient) that broadcasts against
-    the [..., L, L'] scores. The op performs the steps of the chain matmul,
-    scale, add, softmax, matmul in their order, but in place and one
-    leading-index slice at a time, and its backward is that chain's
+    (for multi-head attention, [B, A, L, d]). The op performs the steps of
+    the chain matmul, scale, softmax, matmul in their order, but in place
+    and one leading-index slice at a time, and its backward is that chain's
     backward. The only score-sized array it keeps is the probabilities.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
@@ -452,15 +440,11 @@ def attention(q, k, v, scale, mask_bias=None):
     scale = float(scale)
     kt = np.swapaxes(k.data, -1, -2)
     probs = np.empty(q.data.shape[:-1] + (k.data.shape[-2],))
-    mask = (None if mask_bias is None
-            else np.broadcast_to(_as_tensor(mask_bias).data, probs.shape))
     slices = list(np.ndindex(probs.shape[:-3]))
     for i in slices:
         p = probs[i]
         np.matmul(q.data[i], kt[i], out=p)
         p *= scale
-        if mask is not None:
-            p += mask[i]
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
@@ -479,7 +463,7 @@ def attention(q, k, v, scale, mask_bias=None):
             p = probs[i]
             gs = g[i] @ vt[i]                       # d probs
             gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p                                 # d (scaled, masked) scores
+            gs *= p                                 # d (scaled) scores
             gs *= scale
             np.matmul(gs, k.data[i], out=gq[i])
             np.matmul(qt[i], gs, out=gkt[i])
@@ -607,18 +591,6 @@ def max_reduce(x, axis=-2):
         _accumulate(x, gx)
 
     return _node(data, (x,), backward)
-
-
-def sum_reduce(x, axis=-2):
-    """Sum over ``axis`` (alternate length reduction)."""
-    x = _as_tensor(x)
-    if x.data.ndim < 2:
-        raise ShapeError(f"sum_reduce: expected at least 2-d input, got {x.shape}")
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
-
-    return _node(x.data.sum(axis=axis), (x,), backward)
 
 
 def embedding_lookup(table, ids):

@@ -29,13 +29,10 @@ class CacnnConfig:
     sample_width: int
     context_width: int = 0        # context-vector variant only
     context_filters: int = 0      # context-vector variant only
-    reduction: str = "max"        # length reduction: max or sum
 
     def __post_init__(self):
         if self.variant not in (CONTEXT_VECTOR, SIMPLIFIED):
             raise ValueError(f"unknown CACNN variant {self.variant!r}")
-        if self.reduction not in ("max", "sum"):
-            raise ValueError(f"unknown reduction {self.reduction!r}")
         if min(self.initial_filters, self.initial_width,
                self.sample_filters, self.sample_width) < 1:
             raise ValueError("CACNN filter counts and widths must be >= 1")
@@ -96,7 +93,7 @@ def forward(x, registry, config):
     """Synthesize per-example filters and convolve them over x.
 
     x [..., L,H] -> [..., L,K]. The variant only decides what the flat filter
-    vector is cut from: the context-vector head convolves the length-reduced
+    vector is cut from: the context-vector head convolves the max-reduced
     first feature maps and tiles the result, the simplified head truncates the
     first feature maps themselves.
     """
@@ -105,8 +102,7 @@ def forward(x, registry, config):
     maps = ag.add(ag.conv1d(x, registry["cacnn.init_filters"], "same"),
                   registry["cacnn.init_bias"])                   # [..., L, n_f]
     if config.variant == CONTEXT_VECTOR:
-        reduce = ag.max_reduce if config.reduction == "max" else ag.sum_reduce
-        signal = ag.reshape(reduce(maps, -2),
+        signal = ag.reshape(ag.max_reduce(maps, -2),
                             lead + (config.initial_filters, 1))
         maps = ag.add(
             ag.conv1d(signal, registry["cacnn.context_filters"], "valid"),

@@ -77,7 +77,6 @@ def _op_checks(rng):
     yield "mul", lambda: ag.mul(x, w), [x, w]
     yield "scale", lambda: ag.scale(x, 1.7), [x]
     yield "gelu", lambda: ag.gelu(x), [x]
-    yield "tanh", lambda: ag.tanh(x), [x]
     yield "softmax", lambda: ag.sum_all(ag.mul(ag.softmax(x, 1), w)), [x]
     yield "reshape", lambda: ag.mul(ag.reshape(x, (5, 2)), ag.reshape(w, (5, 2))), [x]
     yield "transpose", lambda: ag.mul(ag.transpose(x), ag.transpose(w)), [x]
@@ -103,7 +102,6 @@ def _op_checks(rng):
     xm.data = np.argsort(np.argsort(xm.data, axis=None)).reshape(5, 3) * 0.1 \
         + xm.data * 1e-3
     yield "max_reduce", lambda: ag.max_reduce(xm, 0), [xm]
-    yield "sum_reduce", lambda: ag.sum_reduce(xm, 0), [xm]
 
     table = random_tensor(rng, (6, 4))
     ids = np.array([0, 3, 3, 5])
@@ -124,11 +122,7 @@ def _op_checks(rng):
 
     q, k, v = (random_tensor(rng, (2, 2, 3, 2)) for _ in range(3))
     wa = ag.Tensor(rng.standard_normal((2, 2, 3, 2)))
-    mask = np.zeros((2, 1, 1, 3))
-    mask[0, ..., 2] = mask[1, ..., 0] = enc.MASK_BIAS
     yield "attention", lambda: ag.mul(ag.attention(q, k, v, 0.7), wa), [q, k, v]
-    yield "attention_masked", lambda: ag.mul(
-        ag.attention(q, k, v, 0.7, mask), wa), [q, k, v]
 
     xb = random_tensor(rng, (2, 5, 3))
     fb = random_tensor(rng, (2, 2, 2, 3))
@@ -197,7 +191,7 @@ def _composite_checks(rng):
         yield name, cacnn_fn, [x] + params
 
 
-def run_suite(seed=0, include_composites=True, tolerance=TOLERANCE):
+def run_suite(seed=0, include_composites=True):
     """Run every check; returns a list of (name, max_rel_err, passed)."""
     rng = np.random.default_rng(seed)
     results = []
@@ -206,5 +200,5 @@ def run_suite(seed=0, include_composites=True, tolerance=TOLERANCE):
         checks += list(_composite_checks(rng))
     for name, fn, tensors in checks:
         err = check_gradients(fn, tensors)
-        results.append((name, err, err < tolerance))
+        results.append((name, err, err < TOLERANCE))
     return results

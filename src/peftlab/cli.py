@@ -28,18 +28,28 @@ def _fail(code, message):
     return code
 
 
+def _read_report(path, columns):
+    """The rows of a report CSV; ValueError names any missing column."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(columns) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing columns {sorted(missing)}")
+        return list(reader)
+
+
 def cmd_count(args):
+    out_path = os.path.join(args.out, "counts.csv")
     try:
         specs = parse_manifest(args.config)
+        rows = [(s.label, s.encoder_config, s.policy, s.head) for s in specs]
+        text, csv_text, _ = accounting.table_report(rows)
+        os.makedirs(args.out, exist_ok=True)
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(csv_text)
     except (ManifestError, OSError) as exc:
         return _fail(EXIT_VALIDATION, exc)
-    rows = [(s.label, s.encoder_config, s.policy, s.head) for s in specs]
-    text, csv_text, _ = accounting.table_report(rows)
     print(text, end="")
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "counts.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text)
     print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -80,19 +90,17 @@ def _run_experiment(spec, out_dir):
 
 
 def cmd_run(args):
+    out_dir = args.out
+    report_path = os.path.join(out_dir, "report.csv")
+    existing = {}
     try:
         specs = parse_manifest(args.manifest)
-    except (ManifestError, OSError) as exc:
-        return _fail(EXIT_VALIDATION, exc)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "report.csv")
-
-    existing = {}
-    if os.path.exists(report_path):
-        with open(report_path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
+        os.makedirs(out_dir, exist_ok=True)
+        if os.path.exists(report_path):
+            for row in _read_report(report_path, REPORT_COLUMNS):
                 existing[row["label"]] = [row[c] for c in REPORT_COLUMNS]
+    except (ValueError, OSError) as exc:  # ManifestError is a ValueError
+        return _fail(EXIT_VALIDATION, exc)
 
     todo = [s for s in specs if s.label not in existing]
     if not todo and existing and all(s.label in existing for s in specs):
@@ -126,6 +134,8 @@ def _write_report(path, specs, rows):
 
 
 def cmd_gradcheck(args):
+    if args.seeds < 1:
+        return _fail(EXIT_VALIDATION, f"--seeds must be >= 1, got {args.seeds}")
     failures = 0
     for seed in range(args.seed, args.seed + args.seeds):
         results = checks.run_suite(seed=seed,
@@ -145,18 +155,14 @@ def cmd_plotdata(args):
     seen = {}
     for path in args.reports:
         try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                reader = csv.DictReader(fh)
-                missing = {"label", "f1", "train_seconds", "inference_seconds",
-                           "trainable_params"} - set(reader.fieldnames or ())
-                if missing:
-                    return _fail(EXIT_VALIDATION,
-                                 f"{path}: missing columns {sorted(missing)}")
-                for row in reader:
-                    seen.setdefault(row["label"], []).append(path)
-                    rows.append(row)
-        except OSError as exc:
+            report = _read_report(path, ["label", "f1", "train_seconds",
+                                         "inference_seconds",
+                                         "trainable_params"])
+        except (ValueError, OSError) as exc:
             return _fail(EXIT_VALIDATION, exc)
+        for row in report:
+            seen.setdefault(row["label"], []).append(path)
+            rows.append(row)
     duplicates = sorted(l for l, paths in seen.items() if len(paths) > 1)
     if duplicates:
         return _fail(EXIT_VALIDATION, f"duplicate labels: {', '.join(duplicates)}")
@@ -186,9 +192,9 @@ def cmd_generate_data(args):
             vocab_size=args.vocab_size,
             unanswerable_fraction=args.unanswerable_fraction,
         )
-    except (ValueError, GenerationError) as exc:
+        save_dataset(examples, args.out)
+    except (ValueError, GenerationError, OSError) as exc:
         return _fail(EXIT_VALIDATION, exc)
-    save_dataset(examples, args.out)
     print(f"wrote {len(examples)} examples to {args.out}")
     return EXIT_OK
 

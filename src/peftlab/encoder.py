@@ -18,8 +18,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 
-MASK_BIAS = -1e9
 INIT_STD = 0.02
+SEGMENT_TYPES = 2  # query side and context side
 AFFINE_SPAN = "affine_span"  # the per-position affine span head
 
 
@@ -45,12 +45,11 @@ class EncoderConfig:
     num_heads: int
     intermediate_size: int
     max_seq_len: int
-    segment_types: int = 2
     adapter: Optional[AdapterConfig] = None
 
     def __post_init__(self):
         for name in ("vocab_size", "hidden_size", "num_heads",
-                     "intermediate_size", "max_seq_len", "segment_types"):
+                     "intermediate_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_layers < 0:
@@ -129,7 +128,7 @@ def parameter_schema(config, include_head=True):
 
     for table, rows in (("token", config.vocab_size),
                         ("position", config.max_seq_len),
-                        ("segment", config.segment_types)):
+                        ("segment", SEGMENT_TYPES)):
         add(f"embeddings.{table}", (rows, H), "embeddings", "normal")
     add("embeddings.ln_gain", (H,), "layer_norms", "ones")
     add("embeddings.ln_bias", (H,), "layer_norms", "zeros")
@@ -193,12 +192,13 @@ class ParameterRegistry:
         self._params: dict[str, Tensor] = {}
         self._entries: dict[str, Param] = {}
 
-    def add(self, name, values, trainable=True, entry=None):
+    def add(self, name, values, entry=None):
+        """Add a trainable parameter; ``apply_freeze_policy`` may freeze it."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         # C order, so Adam can update the array block by block in place
         t = Tensor(np.asarray(values, dtype=np.float64, order="C"),
-                   requires_grad=trainable)
+                   requires_grad=True)
         self._params[name] = t
         if entry is not None:
             self._entries[name] = entry
@@ -214,9 +214,6 @@ class ParameterRegistry:
     def entry(self, name):
         """The schema entry a parameter was allocated from, or None."""
         return self._entries.get(name)
-
-    def __contains__(self, name):
-        return name in self._params
 
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
@@ -241,48 +238,6 @@ class ParameterRegistry:
     def trainable_count(self):
         return sum(t.size for _, t in self.trainable_items())
 
-    @property
-    def frozen_count(self):
-        return self.total_count - self.trainable_count
-
-    def save(self, path):
-        """One line per parameter: name, schema group, layer and init (empty
-        without an entry), shape, trainable flag, values."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for name, t in self._params.items():
-                p = self._entries.get(name)
-                group, layer, init = ((p.group, "" if p.layer is None else p.layer,
-                                       p.init) if p else ("", "", ""))
-                shape = ",".join(str(d) for d in t.data.shape)
-                flag = "1" if t.requires_grad else "0"
-                values = " ".join(repr(float(v)) for v in t.data.reshape(-1))
-                fh.write(f"{name}\t{group}\t{layer}\t{init}\t{shape}\t{flag}"
-                         f"\t{values}\n")
-
-    @classmethod
-    def load(cls, path):
-        reg = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                name, group, layer, init, shape_s, flag, values_s = line.split("\t")
-                shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
-                values = np.fromiter(
-                    (float(v) for v in values_s.split(" ")), dtype=np.float64
-                ).reshape(shape)
-                entry = (Param(name, shape, group, int(layer) if layer else None,
-                               init) if group else None)
-                reg.add(name, values, trainable=flag == "1", entry=entry)
-        return reg
-
-
-def trainable_parameters(registry):
-    """Deterministic (names, total_count, trainable_count) summary."""
-    names = [n for n, _ in registry.trainable_items()]
-    return names, registry.total_count, registry.trainable_count
-
 
 def build_encoder(config, seed, include_head=True):
     """Allocate every parameter of ``parameter_schema`` from one seed."""
@@ -303,7 +258,7 @@ def _swap_head_axes(x):
     return ag.transpose(x, axes)
 
 
-def _attention(reg, config, prefix, x, mask_bias):
+def _attention(reg, config, prefix, x):
     """Multi-head self-attention over x [..., L, H], heads as one batch axis."""
     A, Hd = config.num_heads, config.head_dim
     lead = x.shape[:-1]
@@ -312,13 +267,12 @@ def _attention(reg, config, prefix, x, mask_bias):
         y = ag.add(ag.matmul(x, reg[f"{prefix}.{proj}_w"]), reg[f"{prefix}.{proj}_b"])
         return _swap_head_axes(ag.reshape(y, lead + (A, Hd)))
 
-    ctx = ag.attention(heads("q"), heads("k"), heads("v"), 1.0 / math.sqrt(Hd),
-                       mask_bias)
+    ctx = ag.attention(heads("q"), heads("k"), heads("v"), 1.0 / math.sqrt(Hd))
     out = ag.reshape(_swap_head_axes(ctx), lead + (config.hidden_size,))
     return ag.add(ag.matmul(out, reg[f"{prefix}.o_w"]), reg[f"{prefix}.o_b"])
 
 
-def forward(registry, config, tokens, segments, attention_mask=None):
+def forward(registry, config, tokens, segments):
     """Run the encoder on ids [..., L]; returns the [..., L, hidden_size] output.
 
     Leading axes are a batch: every example in it is encoded independently.
@@ -330,7 +284,7 @@ def forward(registry, config, tokens, segments, attention_mask=None):
         raise ValueError(f"sequence length {L} exceeds max {config.max_seq_len}")
     if tokens.size and tokens.max() >= config.vocab_size:
         raise IndexError(f"token id {tokens.max()} out of range")
-    if segments.size and (segments.min() < 0 or segments.max() >= config.segment_types):
+    if segments.size and (segments.min() < 0 or segments.max() >= SEGMENT_TYPES):
         raise IndexError("segment id out of range")
 
     x = ag.add(
@@ -342,14 +296,9 @@ def forward(registry, config, tokens, segments, attention_mask=None):
     )
     x = ag.layer_norm(x, registry["embeddings.ln_gain"], registry["embeddings.ln_bias"])
 
-    mask_bias = None
-    if attention_mask is not None:
-        m = np.asarray(attention_mask, dtype=np.float64)
-        mask_bias = ((1.0 - m) * MASK_BIAS)[..., None, None, :]  # [..., 1, 1, L]
-
     for i in range(config.num_layers):
         p = f"layer{i}"
-        attn = _attention(registry, config, f"{p}.attn", x, mask_bias)
+        attn = _attention(registry, config, f"{p}.attn", x)
         if config.adapter is not None:
             attn = _adapter(registry, f"{p}.adapter_attn", attn)
         x = ag.layer_norm(ag.add(x, attn), registry[f"{p}.ln1_gain"],

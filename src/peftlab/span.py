@@ -15,6 +15,7 @@ import numpy as np
 CLS_ID = 0
 SEP_ID = 1
 FIRST_WORD_ID = 2  # ids below this are reserved
+MAX_TRIES = 1000   # context draws per example before generation gives up
 
 
 @dataclass
@@ -37,9 +38,7 @@ def stack(examples):
 
 @dataclass
 class SpanPrediction:
-    span: tuple
-    start_logits: np.ndarray
-    end_logits: np.ndarray
+    span: tuple             # (start, end) inclusive; (0, 0) = no answer
 
 
 class GenerationError(RuntimeError):
@@ -81,7 +80,7 @@ def check_request(seq_len, vocab_size, needle_len_range=(1, 2),
 
 
 def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
-                     unanswerable_fraction=0.0, max_tries=1000):
+                     unanswerable_fraction=0.0):
     """Deterministic synthetic dataset of ``count`` examples of length seq_len.
 
     Layout: [CLS] query [SEP] context, padded nowhere (context fills the
@@ -91,6 +90,8 @@ def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
     exactly-one-occurrence constraint cheap to satisfy and the task learnable
     at desk scale; occurrence counts are verified by scan regardless.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     split = check_request(seq_len, vocab_size, needle_len_range,
                           unanswerable_fraction)
     lo, hi = needle_len_range
@@ -102,7 +103,7 @@ def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
         start = 1 + k + 1  # CLS + query + SEP
         ctx_len = seq_len - start
         unanswerable = rng.random() < unanswerable_fraction
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             context = rng.integers(FIRST_WORD_ID, split, size=ctx_len)
             if unanswerable:
                 if _count_occurrences(context, needle) == 0:
@@ -116,7 +117,7 @@ def generate_dataset(seed, count, seq_len, vocab_size, needle_len_range=(1, 2),
                     break
         else:
             raise GenerationError(
-                f"could not satisfy occurrence constraint in {max_tries} tries; "
+                f"could not satisfy occurrence constraint in {MAX_TRIES} tries; "
                 f"vocab_size {vocab_size} may be too small"
             )
         tokens = np.concatenate(([CLS_ID], needle, [SEP_ID], context))
@@ -141,12 +142,12 @@ def decode_span(start_logits, end_logits, max_answer_len=30):
     s_idx, e_idx = np.indices((L, L))
     valid = (s_idx >= 1) & (e_idx >= s_idx) & (e_idx - s_idx < max_answer_len)
     if not valid.any():
-        return SpanPrediction((0, 0), start_logits, end_logits)
+        return SpanPrediction((0, 0))
     scores = np.where(valid, scores, -np.inf)
     flat = int(scores.argmax())  # row-major: earliest start, then shortest span
     best = (flat // L, flat % L)
     span = (0, 0) if null_score >= scores[best] else best
-    return SpanPrediction(span, start_logits, end_logits)
+    return SpanPrediction(span)
 
 
 def _example_scores(pred_span, gold_span):

@@ -13,15 +13,14 @@ from . import cacnn as cacnn_mod
 from . import encoder as enc
 from .span import decode_span, score, stack
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator floor
+
 
 @dataclass
 class TrainConfig:
     batch_size: int = 8
     epochs: int = 3
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     max_answer_len: int = 30
 
@@ -33,6 +32,9 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got "
                              f"{self.learning_rate}")
+        if self.max_answer_len < 1:
+            raise ValueError(f"max_answer_len must be >= 1, got "
+                             f"{self.max_answer_len}")
 
 
 class TrainingDiverged(RuntimeError):
@@ -44,10 +46,9 @@ class TrainingDiverged(RuntimeError):
 class Adam:
     """Adam with moment buffers only for trainable parameters."""
 
-    def __init__(self, registry, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, registry, lr):
         self.registry = registry
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {n: np.zeros_like(t.data) for n, t in registry.trainable_items()}
         self.v = {n: np.zeros_like(t.data) for n, t in registry.trainable_items()}
@@ -66,7 +67,7 @@ class Adam:
         one block or less makes the same numpy calls as unblocked code.
         """
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
 
         def update(data, m, v, g, scratch, quotient):
@@ -133,8 +134,7 @@ def example_loss(model, batch):
 
 def train(model, dataset, train_config):
     """Run the full loop; Adam touches only trainable-flagged parameters."""
-    opt = Adam(model.registry, train_config.learning_rate,
-               train_config.beta1, train_config.beta2, train_config.eps)
+    opt = Adam(model.registry, train_config.learning_rate)
     rng = np.random.default_rng(train_config.seed)
     history = []
     step = 0

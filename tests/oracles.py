@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from peftlab.encoder import SEGMENT_TYPES
+
 
 def conv1d_loops(x, filters, padding):
     """Triple-loop cross-correlation; x [L,C], filters [K,w,C] -> [L',K]."""
@@ -127,7 +129,7 @@ def build_encoder_reference(config, seed, include_head=True):
     H, I = config.hidden_size, config.intermediate_size
     add("embeddings.token", _truncated_normal(rng, (config.vocab_size, H)))
     add("embeddings.position", _truncated_normal(rng, (config.max_seq_len, H)))
-    add("embeddings.segment", _truncated_normal(rng, (config.segment_types, H)))
+    add("embeddings.segment", _truncated_normal(rng, (SEGMENT_TYPES, H)))
     add("embeddings.ln_gain", np.ones(H))
     add("embeddings.ln_bias", np.zeros(H))
     for i in range(config.num_layers):

@@ -5,8 +5,7 @@ from peftlab import accounting, cacnn
 from peftlab import encoder as enc
 from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import (AdapterConfig, EncoderConfig, FreezePolicy,
-                             bert_base_config, build_encoder, desk_config,
-                             trainable_parameters)
+                             bert_base_config, build_encoder, desk_config)
 from peftlab.trainer import Adam, Model, TrainConfig, train
 from peftlab.span import generate_dataset
 
@@ -90,25 +89,6 @@ class TestForward:
         out_adapted = enc.forward(adapted, adapter_cfg, tokens, segments)
         assert np.array_equal(out_plain.data, out_adapted.data)
 
-    def test_attention_collapses_to_single_unmasked_position(self):
-        # with all but one key masked, each row's attention output must equal
-        # that key's value row; verify via the first-layer attention directly
-        from peftlab import autograd as ag
-        rng = np.random.default_rng(8)
-        tokens, segments = tiny_inputs(rng)
-        reg = build_encoder(TINY, seed=4)
-        mask = np.zeros(len(tokens))
-        mask[2] = 1.0
-        x = ag.Tensor(rng.standard_normal((len(tokens), TINY.hidden_size)))
-        bias = ag.Tensor((1.0 - mask).reshape(1, -1) * enc.MASK_BIAS)
-        out = enc._attention(reg, TINY, "layer0.attn", x, bias)
-        v = ag.add(ag.matmul(x, reg["layer0.attn.v_w"]),
-                   reg["layer0.attn.v_b"])
-        expected = ag.add(ag.matmul(ag.Tensor(np.tile(v.data[2], (6, 1))),
-                                    reg["layer0.attn.o_w"]),
-                          reg["layer0.attn.o_b"])
-        assert np.allclose(out.data, expected.data, atol=1e-6)
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         reg = build_encoder(TINY, seed=6)
@@ -133,18 +113,12 @@ class TestFreezePolicy:
     def test_nothing_frozen_when_everything_trainable(self):
         reg = build_encoder(TINY, seed=0)
         enc.apply_freeze_policy(reg, TINY, FreezePolicy(TINY.num_layers, True))
-        assert reg.frozen_count == 0
-
-    def test_fresh_registry_all_trainable(self):
-        reg = build_encoder(TINY, seed=0)
-        names, total, trainable = trainable_parameters(reg)
-        assert total == trainable
-        assert names == reg.names()
+        assert reg.trainable_count == reg.total_count
 
     def test_counts_split(self):
         reg = build_encoder(TINY, seed=0)
         enc.apply_freeze_policy(reg, TINY, FreezePolicy(1, False))
-        assert reg.trainable_count + reg.frozen_count == reg.total_count
+        assert 0 < reg.trainable_count < reg.total_count
 
     def test_bert_base_closed_form_matches_table_rows(self):
         cfg = bert_base_config()
@@ -198,33 +172,16 @@ class TestFreezePolicy:
             enc.apply_freeze_policy(reg, TINY, FreezePolicy(99, False))
 
 
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path):
-        cfg = desk_config(adapter=AdapterConfig(3))
-        reg = build_encoder(cfg, seed=11)
-        enc.apply_freeze_policy(reg, cfg, FreezePolicy(1, False))
-        path = tmp_path / "checkpoint.txt"
-        reg.save(path)
-        loaded = enc.ParameterRegistry.load(path)
-        assert loaded.names() == reg.names()
-        for name, t in reg.items():
-            assert np.array_equal(loaded[name].data, t.data)
-            assert loaded.is_trainable(name) == reg.is_trainable(name)
-
-
 class TestBatchAxis:
     def test_batched_forward_matches_per_example(self):
-        rng = np.random.default_rng(20)
         cfg = desk_config(adapter=AdapterConfig(4))
         reg = build_encoder(cfg, seed=5)
         ds = generate_dataset(seed=3, count=5, seq_len=20, vocab_size=64)
         tokens = np.stack([ex.tokens for ex in ds])
         segments = np.stack([ex.segments for ex in ds])
-        mask = np.ones(tokens.shape)
-        mask[:, -3:] = rng.integers(0, 2, size=(5, 3))
-        batched = enc.forward(reg, cfg, tokens, segments, mask).data
+        batched = enc.forward(reg, cfg, tokens, segments).data
         for b in range(5):
-            one = enc.forward(reg, cfg, tokens[b], segments[b], mask[b]).data
+            one = enc.forward(reg, cfg, tokens[b], segments[b]).data
             assert np.max(np.abs(batched[b] - one) / np.abs(one)) <= 1e-12
 
     def test_one_attention_node_per_layer_and_no_head_loop(self):
@@ -313,43 +270,8 @@ class TestSchema:
         assert not reg.is_trainable("head.w")
         assert "head.w" not in Adam(reg, lr=1e-3).m
 
-    @pytest.mark.parametrize("head", [None] + CACNN_VARIANTS,
-                             ids=["affine", "context_vector", "simplified"])
-    def test_save_load_then_freeze_gives_the_saved_flags(self, tmp_path, head):
-        cfg = desk_config(adapter=AdapterConfig(3))
-        policy = FreezePolicy(1, False)
-        reg = build_encoder(cfg, seed=2, include_head=head is None)
-        if head is not None:
-            cacnn.build_params(reg, head, cfg.hidden_size, 3)
-        enc.apply_freeze_policy(reg, cfg, policy)
-        path = tmp_path / "checkpoint.txt"
-        reg.save(path)
-        loaded = enc.ParameterRegistry.load(path)
-        for name in loaded.names():
-            loaded[name].requires_grad = True
-        enc.apply_freeze_policy(loaded, cfg, policy)
-        assert [(n, loaded.is_trainable(n)) for n in loaded.names()] == \
-            [(n, reg.is_trainable(n)) for n in reg.names()]
-
     def test_parameter_without_schema_entry_is_rejected(self):
         reg = build_encoder(TINY, seed=0)
         reg.add("layer0.attn.extra_w", np.zeros((2, 2)))
         with pytest.raises(ValueError, match="layer0.attn.extra_w"):
             enc.apply_freeze_policy(reg, TINY, FreezePolicy(1, False))
-
-    def test_training_step_adds_no_attention_mask(self, monkeypatch):
-        from peftlab import autograd as ag
-        from peftlab.span import stack
-        from peftlab.trainer import example_loss
-        masks = []
-        attention = ag.attention
-
-        def spy(q, k, v, scale, mask_bias=None):
-            masks.append(mask_bias)
-            return attention(q, k, v, scale, mask_bias)
-
-        monkeypatch.setattr(ag, "attention", spy)
-        cfg = desk_config()
-        ds = generate_dataset(seed=0, count=2, seq_len=16, vocab_size=64)
-        example_loss(Model(build_encoder(cfg, seed=0), cfg), stack(ds))
-        assert masks == [None] * cfg.num_layers

@@ -188,6 +188,18 @@ class TestRun:
         assert [r["label"] for r in again] == ["tiny-full", "tiny-frozen"]
         assert again[0] == kept
 
+    def test_foreign_report_exits_1_and_is_kept(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.csv").write_text("name,score\nx,1\n")
+        code = cli.main(["run", "--manifest", manifest, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'report.csv'}: missing columns [")
+        assert "'label'" in err and "'f1'" in err
+        assert (out / "report.csv").read_text() == "name,score\nx,1\n"
+
     def test_dataset_len_beyond_max_seq_len_exit_code(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, "[long]\ndataset_len = 100\n")
         with pytest.raises(ManifestError, match="exceeds max_seq_len 64"):
@@ -261,7 +273,8 @@ INVALID_BODIES = ["batch_size = 0", "epochs = 0", "adapter_size = 0",
                   "unanswerable_fraction = 2", "dataset_len = 1",
                   "vocab_size = 1", "dataset_count = -3", "seed = -1",
                   "learning_rate = nan", "learning_rate = inf",
-                  "learning_rate = 0", "learning_rate = -1"]
+                  "learning_rate = 0", "learning_rate = -1",
+                  "max_answer_len = 0", "max_answer_len = -5"]
 
 
 @pytest.mark.parametrize("command", ["count", "run"])
@@ -276,6 +289,19 @@ def test_invalid_manifest_exits_1_with_a_message(tmp_path, capsys, command,
     assert err.startswith("error: [bad] ")
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out" / "report.csv")
+
+
+@pytest.mark.parametrize("command", ["count", "run", "generate-data"])
+def test_unwritable_out_exits_1_with_a_message(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"  # a regular file: blocker/out cannot exist
+    blocker.write_text("")
+    args = {"count": ["--config", write_manifest(tmp_path, "[a]\n")],
+            "run": ["--manifest", write_manifest(tmp_path, SMALL_RUN)],
+            "generate-data": ["--count", "4"]}[command]
+    code = cli.main([command, *args, "--out", str(blocker / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestUsageErrors:
@@ -354,8 +380,25 @@ class TestGenerateData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_count_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                    count):
+        out = tmp_path / "x.txt"
+        code = cli.main(["generate-data", "--count", count, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: count must be >= 1, got {count}")
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_exits_1(self, capsys, seeds):
+        assert cli.main(["gradcheck", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --seeds must be >= 1, got {seeds}")
+        assert "PASS" not in captured.out
+
     def test_all_pass_exit_zero(self, capsys):
         assert cli.main(["gradcheck", "--ops-only"]) == 0
         out = capsys.readouterr().out

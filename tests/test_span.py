@@ -61,6 +61,11 @@ class TestGenerate:
             generate_dataset(seed=0, count=1, seq_len=32, vocab_size=64,
                              unanswerable_fraction=1.5)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_request_rejected(self, count):
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            generate_dataset(seed=0, count=count, seq_len=32, vocab_size=64)
+
     def test_needle_longer_than_answerable_context_rejected(self):
         with pytest.raises(ValueError, match=r"seq_len 9 .*length 5"):
             generate_dataset(seed=0, count=64, seq_len=9, vocab_size=64,
@@ -142,7 +147,7 @@ class TestDecode:
 
 class TestScore:
     def test_exact_match(self):
-        em, f1 = score([SpanPrediction((84, 85), None, None)],
+        em, f1 = score([SpanPrediction((84, 85))],
                        [SpanExample(None, None, (84, 85))])
         assert (em, f1) == (100.0, 100.0)
 
