@@ -22,11 +22,11 @@ SIMPLIFIED = "simplified"
 
 @dataclass
 class CacnnConfig:
-    variant: str
-    initial_filters: int          # feature maps from the first convolution
-    initial_width: int
-    sample_filters: int           # synthesized feature maps per example (K)
-    sample_width: int
+    variant: str = CONTEXT_VECTOR
+    initial_filters: int = 8      # feature maps from the first convolution
+    initial_width: int = 3
+    sample_filters: int = 4       # synthesized feature maps per example (K)
+    sample_width: int = 3
     context_width: int = 0        # context-vector variant only
     context_filters: int = 0      # context-vector variant only
 

@@ -139,7 +139,9 @@ def _composite_checks(rng):
     config = enc.EncoderConfig(vocab_size=12, hidden_size=8, num_layers=1,
                                num_heads=2, intermediate_size=12, max_seq_len=8,
                                adapter=enc.AdapterConfig(adapter_size=3))
-    reg = enc.build_encoder(config, seed)
+    everything = enc.FreezePolicy(config.num_layers, embeddings_trainable=True)
+    model = trainer.build_model(config, everything, enc.AFFINE_SPAN, seed)
+    reg = model.registry
     # zero-init up-projections hide adapter gradients; perturb them
     for name in reg.names():
         if name.endswith("up_w"):
@@ -160,7 +162,6 @@ def _composite_checks(rng):
     yield "encoder_adapter_forward", encoder_fn, tensors
 
     def span_loss_fn():
-        model = trainer.Model(reg, config, enc.AFFINE_SPAN)
         start, end = model.span_logits(SpanExample(tokens, segments, (3, 4)))
         return ag.add(ag.cross_entropy_from_logits(start, 3),
                       ag.cross_entropy_from_logits(end, 4))

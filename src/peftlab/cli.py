@@ -10,11 +10,11 @@ import csv
 import os
 import sys
 
-from . import accounting, cacnn as cacnn_mod, checks, encoder as enc
-from .manifest import ManifestError, parse_manifest
+from . import accounting, checks
+from .manifest import ExperimentSpec, ManifestError, parse_manifest
 from .span import GenerationError, generate_dataset, save_dataset
-from .trainer import (Model, TrainingDiverged, efficiency_ratio, evaluate,
-                      save_loss_history, train)
+from .trainer import (TrainingDiverged, build_model, efficiency_ratio,
+                      evaluate, save_loss_history, train)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,36 +55,24 @@ def cmd_count(args):
 
 
 def _run_experiment(spec, out_dir):
-    config, policy, head = spec.encoder_config, spec.policy, spec.head
-    tc = spec.train_config
+    config, tc = spec.encoder_config, spec.train_config
     dataset = generate_dataset(
         seed=tc.seed, count=spec.dataset_count, seq_len=spec.dataset_len,
         vocab_size=config.vocab_size,
         unanswerable_fraction=spec.unanswerable_fraction,
     )
-    registry = enc.build_encoder(config, tc.seed,
-                                 include_head=head == enc.AFFINE_SPAN)
-    if head != enc.AFFINE_SPAN:
-        cacnn_mod.build_params(registry, head, config.hidden_size, tc.seed + 1)
-    enc.apply_freeze_policy(registry, config, policy)
-
-    expected = accounting.count(config, policy, head).trainable_under_policy
-    if registry.trainable_count != expected:
-        raise RuntimeError(
-            f"registry trainable count {registry.trainable_count} disagrees "
-            f"with accounting {expected} for {spec.label}"
-        )
-
-    result = train(Model(registry, config, head), dataset, tc)
-    em, f1, infer_seconds = evaluate(result.model, dataset, tc)
+    model = build_model(config, spec.policy, spec.head, tc.seed)
+    result = train(model, dataset, tc)
+    em, f1, infer_seconds = evaluate(model, dataset, tc)
     save_loss_history(result.loss_history,
                       os.path.join(out_dir, f"loss_{spec.label}.csv"))
 
     em, f1 = round(em, 1), round(f1, 1)
-    ratio = efficiency_ratio(f1, registry.trainable_count)
+    trainable = model.registry.trainable_count
+    ratio = efficiency_ratio(f1, trainable)
     adapter_size = config.adapter.adapter_size if config.adapter else ""
-    return [spec.label, policy.top_layers_trainable, adapter_size,
-            registry.trainable_count, f"{em:.1f}", f"{f1:.1f}",
+    return [spec.label, spec.policy.top_layers_trainable, adapter_size,
+            trainable, f"{em:.1f}", f"{f1:.1f}",
             f"{result.train_seconds:.3f}", f"{infer_seconds:.3f}",
             f"{ratio:.4f}"]
 
@@ -103,7 +91,7 @@ def cmd_run(args):
         return _fail(EXIT_VALIDATION, exc)
 
     todo = [s for s in specs if s.label not in existing]
-    if not todo and existing and all(s.label in existing for s in specs):
+    if not todo:
         print(f"all {len(specs)} experiments already in {report_path}")
         return EXIT_OK
 
@@ -112,7 +100,7 @@ def cmd_run(args):
         for spec in todo:
             existing[spec.label] = _run_experiment(spec, out_dir)
             _write_report(report_path, specs, existing)
-    except GenerationError as exc:
+    except (GenerationError, OSError) as exc:
         return _fail(EXIT_VALIDATION, exc)
     except TrainingDiverged as exc:
         return _fail(EXIT_RUNTIME, exc)
@@ -134,6 +122,8 @@ def _write_report(path, specs, rows):
 
 
 def cmd_gradcheck(args):
+    if args.seed < 0:
+        return _fail(EXIT_VALIDATION, f"--seed must be >= 0, got {args.seed}")
     if args.seeds < 1:
         return _fail(EXIT_VALIDATION, f"--seeds must be >= 1, got {args.seeds}")
     failures = 0
@@ -240,10 +230,11 @@ def build_parser():
 
     p = sub.add_parser("generate-data", help="write a synthetic dataset file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=2000)
-    p.add_argument("--length", type=int, default=64)
+    p.add_argument("--count", type=int, default=ExperimentSpec.dataset_count)
+    p.add_argument("--length", type=int, default=ExperimentSpec.dataset_len)
     p.add_argument("--vocab-size", type=int, default=64)
-    p.add_argument("--unanswerable-fraction", type=float, default=1.0 / 3.0)
+    p.add_argument("--unanswerable-fraction", type=float,
+                   default=ExperimentSpec.unanswerable_fraction)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate_data)
 

@@ -15,15 +15,25 @@ from .trainer import TrainConfig
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
-KNOWN_KEYS = {
-    "preset", "vocab_size", "hidden_size", "num_layers", "num_heads",
-    "intermediate_size", "max_seq_len",
-    "layers_trainable", "embeddings_trainable", "adapter_size",
-    "head", "variant", "n_f", "w1", "w_c", "m", "K", "w2",
-    "batch_size", "epochs", "learning_rate", "seed",
-    "dataset_count", "dataset_len", "unanswerable_fraction",
-    "max_answer_len",
-}
+# manifest key -> (field, kind), one table per config class the keys set. A
+# key a section leaves out keeps its class's default (for the encoder, the
+# preset's), so the defaults live on the classes alone.
+ENCODER_KEYS = {key: (key, int) for key in (
+    "vocab_size", "hidden_size", "num_layers", "num_heads",
+    "intermediate_size", "max_seq_len")}
+CACNN_KEYS = {"variant": ("variant", str), "n_f": ("initial_filters", int),
+              "w1": ("initial_width", int), "w_c": ("context_width", int),
+              "m": ("context_filters", int), "K": ("sample_filters", int),
+              "w2": ("sample_width", int)}
+TRAIN_KEYS = {"batch_size": ("batch_size", int), "epochs": ("epochs", int),
+              "learning_rate": ("learning_rate", float), "seed": ("seed", int),
+              "max_answer_len": ("max_answer_len", int)}
+DATASET_KEYS = {"dataset_count": ("dataset_count", int),
+                "dataset_len": ("dataset_len", int),
+                "unanswerable_fraction": ("unanswerable_fraction", float)}
+KNOWN_KEYS = {"preset", "layers_trainable", "embeddings_trainable",
+              "adapter_size", "head"}.union(ENCODER_KEYS, CACNN_KEYS,
+                                            TRAIN_KEYS, DATASET_KEYS)
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -45,11 +55,25 @@ class ExperimentSpec:
     dataset_len: int = 64
     unanswerable_fraction: float = 1.0 / 3.0
 
+    def __post_init__(self):
+        if self.dataset_count < 1:
+            raise ValueError(
+                f"dataset_count must be >= 1, got {self.dataset_count}")
+        config = self.encoder_config
+        if self.dataset_len > config.max_seq_len:
+            raise ValueError(f"dataset_len {self.dataset_len} exceeds "
+                             f"max_seq_len {config.max_seq_len}")
+        if self.head != AFFINE_SPAN:
+            cacnn_mod.validate(self.head, self.dataset_len, config.hidden_size)
+        check_request(self.dataset_len, config.vocab_size,
+                      unanswerable_fraction=self.unanswerable_fraction)
+
 
 def parse_manifest(path):
     """Parse a manifest file into a list of ExperimentSpec, validating keys.
 
-    Every invalid value raises ManifestError naming the section.
+    Every invalid value raises ManifestError naming the section, and so does
+    a manifest without a section.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
@@ -58,6 +82,8 @@ def parse_manifest(path):
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot parse {path}: {exc}") from exc
+    if not parser.sections():
+        raise ManifestError(f"{path}: no experiments")
 
     specs = []
     for label in parser.sections():
@@ -83,14 +109,21 @@ def parse_manifest(path):
 
 
 def _build_spec(label, section):
-    def get(key, default=None, kind=int):
-        """``section[key]``, or ``default`` when absent, parsed as ``kind``."""
-        raw = section.get(key, default)
+    def get(key, kind=int, absent=None):
+        """``section[key]`` parsed as ``kind``, or ``absent`` without it."""
+        if key not in section:
+            return absent
+        raw = section[key]
         try:
             return _BOOL[raw.strip().lower()] if kind is bool else kind(raw)
         except (KeyError, ValueError):
             raise ValueError(f"{key}: expected {_EXPECTED[kind]}, got "
                              f"{raw!r}") from None
+
+    def fields(table):
+        """The config fields this section sets through ``table``'s keys."""
+        return {name: get(key, kind) for key, (name, kind) in table.items()
+                if key in section}
 
     adapter = (AdapterConfig(get("adapter_size")) if "adapter_size" in section
                else None)
@@ -98,66 +131,23 @@ def _build_spec(label, section):
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; available: "
                          f"{', '.join(sorted(PRESETS))}")
-    config = replace(PRESETS[preset](adapter=adapter), **{
-        key: get(key) for key in ("vocab_size", "hidden_size", "num_layers",
-                                  "num_heads", "intermediate_size",
-                                  "max_seq_len") if key in section})
+    config = replace(PRESETS[preset](adapter=adapter), **fields(ENCODER_KEYS))
 
-    k = get("layers_trainable", str(config.num_layers))
+    k = get("layers_trainable", absent=config.num_layers)
     if not 0 <= k <= config.num_layers:
         raise ValueError(
             f"layers_trainable {k} out of range 0..{config.num_layers}")
     # Full fine-tuning is the only published setting with trainable embeddings.
-    if "embeddings_trainable" in section:
-        emb = get("embeddings_trainable", kind=bool)
-    else:
-        emb = k == config.num_layers
+    emb = get("embeddings_trainable", bool, absent=k == config.num_layers)
     policy = FreezePolicy(top_layers_trainable=k, embeddings_trainable=emb)
 
-    dataset_len = get("dataset_len", "64")
-    if dataset_len > config.max_seq_len:
-        raise ValueError(f"dataset_len {dataset_len} exceeds max_seq_len "
-                         f"{config.max_seq_len}")
-    head_kind = section.get("head", AFFINE_SPAN)
-    if head_kind == AFFINE_SPAN:
-        head = AFFINE_SPAN
-    elif head_kind == "cacnn":
-        head = cacnn_mod.CacnnConfig(
-            variant=section.get("variant", cacnn_mod.CONTEXT_VECTOR),
-            initial_filters=get("n_f", "8"),
-            initial_width=get("w1", "3"),
-            context_width=get("w_c", "0"),
-            context_filters=get("m", "0"),
-            sample_filters=get("K", "4"),
-            sample_width=get("w2", "3"),
-        )
-        cacnn_mod.validate(head, dataset_len, config.hidden_size)
-    else:
+    head = section.get("head", AFFINE_SPAN)
+    if head == "cacnn":
+        head = cacnn_mod.CacnnConfig(**fields(CACNN_KEYS))
+    elif head != AFFINE_SPAN:
         raise ValueError(f'head must be "{AFFINE_SPAN}" or "cacnn", got '
-                         f'{head_kind!r}')
+                         f'{head!r}')
 
-    train_config = TrainConfig(
-        batch_size=get("batch_size", "8"),
-        epochs=get("epochs", "3"),
-        learning_rate=get("learning_rate", "1e-3", float),
-        seed=get("seed", "0"),
-        max_answer_len=get("max_answer_len", "30"),
-    )
-
-    dataset_count = get("dataset_count", "2000")
-    if dataset_count < 1:
-        raise ValueError(f"dataset_count must be >= 1, got {dataset_count}")
-    fraction = get("unanswerable_fraction", str(1.0 / 3.0), float)
-    check_request(dataset_len, config.vocab_size,
-                  unanswerable_fraction=fraction)
-
-    return ExperimentSpec(
-        label=label,
-        encoder_config=config,
-        policy=policy,
-        head=head,
-        train_config=train_config,
-        dataset_count=dataset_count,
-        dataset_len=dataset_len,
-        unanswerable_fraction=fraction,
-    )
+    return ExperimentSpec(label, config, policy, head,
+                          TrainConfig(**fields(TRAIN_KEYS)),
+                          **fields(DATASET_KEYS))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import accounting
 from . import autograd as ag
 from . import cacnn as cacnn_mod
 from . import encoder as enc
@@ -110,6 +111,22 @@ class Model:
             return enc.span_head_logits(self.registry, x)
         maps = cacnn_mod.forward(x, self.registry, self.head)
         return cacnn_mod.head_logits(maps, self.registry)
+
+
+def build_model(config, policy, head, seed):
+    """Allocate, freeze and count-check one experiment's model. A CACNN
+    head replaces the affine span head and draws from ``seed + 1``."""
+    affine = head == enc.AFFINE_SPAN
+    registry = enc.build_encoder(config, seed, include_head=affine)
+    if not affine:
+        cacnn_mod.build_params(registry, head, config.hidden_size, seed + 1)
+    enc.apply_freeze_policy(registry, config, policy)
+    expected = accounting.count(config, policy, head).trainable_under_policy
+    if registry.trainable_count != expected:
+        raise RuntimeError(
+            f"registry trainable count {registry.trainable_count} disagrees "
+            f"with accounting {expected}")
+    return Model(registry, config, head)
 
 
 @dataclass

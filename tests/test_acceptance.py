@@ -19,8 +19,8 @@ from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import (AdapterConfig, EncoderConfig, FreezePolicy,
                              bert_base_config, desk_config)
 from peftlab.span import decode_span, generate_dataset, score
-from peftlab.trainer import (Model, TrainConfig, efficiency_ratio, evaluate,
-                             train)
+from peftlab.trainer import (TrainConfig, build_model, efficiency_ratio,
+                             evaluate, train)
 
 from oracles import (cacnn_context_vector_loops, cacnn_simplified_loops,
                      conv1d_loops, decode_span_enumeration)
@@ -47,11 +47,12 @@ def desk_runs():
     t0 = time.monotonic()
     for k in (0, 1, 2):
         cfg = desk_config()
-        reg = enc.build_encoder(cfg, seed=0)
-        enc.apply_freeze_policy(reg, cfg, FreezePolicy(k, embeddings_trainable=k == 2))
+        model = build_model(cfg, FreezePolicy(k, embeddings_trainable=k == 2),
+                            enc.AFFINE_SPAN, seed=0)
+        reg = model.registry
         frozen_before = {n: t.data.copy() for n, t in reg.items()
                          if not reg.is_trainable(n)}
-        result = train(Model(reg, cfg), dataset, tc)
+        result = train(model, dataset, tc)
         em, f1, _ = evaluate(result.model, dataset, tc)
         runs[k] = (reg, frozen_before, em, f1)
     runs["seconds"] = time.monotonic() - t0

@@ -3,11 +3,12 @@ import io
 
 import pytest
 
-from peftlab import accounting, encoder as enc
+from peftlab import accounting
 from peftlab.accounting import AFFINE_SPAN, count, table_report
 from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import (AdapterConfig, FreezePolicy, bert_base_config,
                              desk_config)
+from peftlab.trainer import build_model
 
 
 def policy(k, embeddings=None, adapters=True):
@@ -119,8 +120,7 @@ class TestRegistryEquivalence:
     def test_desk_scale_all_policies(self, adapter, k, embeddings):
         cfg = desk_config(adapter=adapter)
         pol = FreezePolicy(k, embeddings)
-        reg = enc.build_encoder(cfg, seed=0)
-        enc.apply_freeze_policy(reg, cfg, pol)
+        reg = build_model(cfg, pol, AFFINE_SPAN, seed=0).registry
         rep = count(cfg, pol)
         assert reg.total_count == rep.total
         assert reg.trainable_count == rep.trainable_under_policy

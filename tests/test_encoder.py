@@ -4,9 +4,10 @@ import pytest
 from peftlab import accounting, cacnn
 from peftlab import encoder as enc
 from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
-from peftlab.encoder import (AdapterConfig, EncoderConfig, FreezePolicy,
-                             bert_base_config, build_encoder, desk_config)
-from peftlab.trainer import Adam, Model, TrainConfig, train
+from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, EncoderConfig,
+                             FreezePolicy, bert_base_config, build_encoder,
+                             desk_config)
+from peftlab.trainer import Adam, TrainConfig, build_model, example_loss, train
 from peftlab.span import generate_dataset
 
 from oracles import build_cacnn_reference, build_encoder_reference
@@ -157,10 +158,9 @@ class TestFreezePolicy:
         cfg = desk_config()
         ds = generate_dataset(seed=0, count=8, seq_len=32, vocab_size=64,
                               unanswerable_fraction=0.25)
-        reg = enc.build_encoder(cfg, seed=0)
-        enc.apply_freeze_policy(reg, cfg, FreezePolicy(0, False))
-        from peftlab.trainer import example_loss
-        loss = example_loss(Model(reg, cfg), ds[0])
+        model = build_model(cfg, FreezePolicy(0, False), AFFINE_SPAN, 0)
+        reg = model.registry
+        loss = example_loss(model, ds[0])
         loss.backward()
         assert reg["layer0.attn.q_w"].grad is None
         assert reg["layer0.ln1_gain"].grad is not None
@@ -187,11 +187,11 @@ class TestBatchAxis:
     def test_one_attention_node_per_layer_and_no_head_loop(self):
         from peftlab import autograd as ag
         from peftlab.span import stack
-        from peftlab.trainer import example_loss
         cfg = desk_config()
-        reg = build_encoder(cfg, seed=0)
+        model = build_model(cfg, FreezePolicy(cfg.num_layers, True),
+                            AFFINE_SPAN, 0)
         ds = generate_dataset(seed=0, count=4, seq_len=16, vocab_size=64)
-        loss = example_loss(Model(reg, cfg), stack(ds))
+        loss = example_loss(model, stack(ds))
         ops = [n._backward.__qualname__.split(".")[0]
                for n in ag._toposort(loss) if n._backward is not None]
         assert ops.count("attention") == cfg.num_layers
@@ -250,8 +250,7 @@ class TestSchema:
 
     def test_requires_grad_is_the_trainable_flag(self):
         cfg = desk_config()
-        reg = build_encoder(cfg, seed=0)
-        enc.apply_freeze_policy(reg, cfg, FreezePolicy(0, False))
+        reg = build_model(cfg, FreezePolicy(0, False), AFFINE_SPAN, 0).registry
         before = reg.trainable_count
         name = "layer0.attn.q_w"
         assert not reg.is_trainable(name)
@@ -275,3 +274,37 @@ class TestSchema:
         reg.add("layer0.attn.extra_w", np.zeros((2, 2)))
         with pytest.raises(ValueError, match="layer0.attn.extra_w"):
             enc.apply_freeze_policy(reg, TINY, FreezePolicy(1, False))
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("adapter, head", [
+        (None, AFFINE_SPAN), (AdapterConfig(8), AFFINE_SPAN),
+        (None, CACNN_VARIANTS[0]), (None, CACNN_VARIANTS[1]),
+    ], ids=["affine", "adapter8", "cacnn_context_vector", "cacnn_simplified"])
+    def test_registry_matches_hand_written_layout(self, adapter, head):
+        cfg = desk_config(adapter=adapter)
+        policy = FreezePolicy(1, False)
+        seed = 7
+        model = build_model(cfg, policy, head, seed)
+        affine = head == AFFINE_SPAN
+        reference = build_encoder_reference(cfg, seed, include_head=affine)
+        if not affine:
+            reference += build_cacnn_reference(head, cfg.hidden_size, seed + 1)
+        assert_same_parameters(model.registry, reference)
+        assert (model.config, model.head) == (cfg, head)
+        for name in model.registry.names():
+            p = model.registry.entry(name)
+            assert model.registry.is_trainable(name) == \
+                policy.trains(p.group, p.layer, cfg.num_layers), name
+
+    def test_count_disagreement_raises(self, monkeypatch):
+        real = accounting.count
+
+        def off_by_one(config, policy, head=AFFINE_SPAN):
+            rep = real(config, policy, head)
+            rep.trainable_under_policy += 1
+            return rep
+
+        monkeypatch.setattr(accounting, "count", off_by_one)
+        with pytest.raises(RuntimeError, match="disagrees with accounting"):
+            build_model(desk_config(), FreezePolicy(0, False), AFFINE_SPAN, 0)

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peftlab import checks, cli
-from peftlab.cacnn import CONTEXT_VECTOR, CacnnConfig
-from peftlab.manifest import KNOWN_KEYS, ManifestError, parse_manifest
+from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
+from peftlab.encoder import AFFINE_SPAN, FreezePolicy, desk_config
+from peftlab.manifest import (KNOWN_KEYS, ExperimentSpec, ManifestError,
+                              parse_manifest)
 from peftlab.span import load_dataset
+from peftlab.trainer import TrainConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -33,6 +36,31 @@ class TestParseManifest:
         assert spec.train_config.batch_size == 8
         assert spec.train_config.epochs == 3
         assert spec.dataset_count == 2000
+        # absent keys keep the config classes' own defaults
+        assert spec.train_config == TrainConfig()
+        assert spec == ExperimentSpec("base", desk_config(),
+                                      FreezePolicy(2, embeddings_trainable=True),
+                                      AFFINE_SPAN, TrainConfig())
+
+    def test_absent_cacnn_keys_keep_the_config_class_defaults(self, tmp_path):
+        with pytest.raises(ValueError) as default_error:
+            CacnnConfig()  # the default variant needs the two context keys
+        path = write_manifest(tmp_path, "[c]\nhead = cacnn\n")
+        with pytest.raises(ManifestError) as parse_error:
+            parse_manifest(path)
+        assert str(parse_error.value) == f"[c] {default_error.value}"
+
+        path = write_manifest(
+            tmp_path, "[c]\nhead = cacnn\nw_c = 3\nm = 4\n"
+                      "[s]\nhead = cacnn\nvariant = simplified\n")
+        c, s = parse_manifest(path)
+        assert c.head == CacnnConfig(context_width=3, context_filters=4)
+        assert s.head == CacnnConfig(variant=SIMPLIFIED)
+
+    def test_empty_manifest(self, tmp_path):
+        path = write_manifest(tmp_path, "# no sections\n")
+        with pytest.raises(ManifestError, match=f"{path}: no experiments"):
+            parse_manifest(path)
 
     def test_embeddings_follow_layers_trainable(self, tmp_path):
         path = write_manifest(tmp_path, "[a]\nlayers_trainable = 0\n"
@@ -123,6 +151,14 @@ class TestCount:
         assert [int(r["trainable_params"]) for r in rows] == \
             [39_938, 7_124_738, 21_294_338, 42_548_738, 108_893_186]
 
+    def test_empty_manifest_exits_1(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, "")
+        out = tmp_path / "out"
+        assert cli.main(["count", "--config", manifest, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {manifest}: no experiments\n"
+        assert not (out / "counts.csv").exists()
+
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(["count", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path)])
@@ -199,6 +235,30 @@ class TestRun:
         assert err.startswith(f"error: {out / 'report.csv'}: missing columns [")
         assert "'label'" in err and "'f1'" in err
         assert (out / "report.csv").read_text() == "name,score\nx,1\n"
+
+    def test_failed_write_exits_1_and_keeps_finished_rows(self, tmp_path,
+                                                          capsys):
+        manifest = write_manifest(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        (out / "loss_tiny-frozen.csv").mkdir(parents=True)
+        code = cli.main(["run", "--manifest", manifest, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "loss_tiny-frozen.csv" in err
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == ["tiny-full"]
+
+    def test_empty_manifest_exits_1_and_writes_no_report(self, tmp_path,
+                                                         capsys):
+        manifest = write_manifest(tmp_path, "")
+        out = tmp_path / "out"
+        code = cli.main(["run", "--manifest", manifest, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {manifest}: no experiments\n"
+        assert captured.out == ""
+        assert not (out / "report.csv").exists()
 
     def test_dataset_len_beyond_max_seq_len_exit_code(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, "[long]\ndataset_len = 100\n")
@@ -374,6 +434,14 @@ class TestGenerateData:
             assert fa.read() == fb.read()
         assert len(load_dataset(a)) == 12
 
+    def test_defaults_are_the_manifest_dataset_defaults(self):
+        args = cli.build_parser().parse_args(["generate-data", "--out", "x"])
+        spec_defaults = (ExperimentSpec.dataset_count,
+                         ExperimentSpec.dataset_len,
+                         ExperimentSpec.unanswerable_fraction)
+        assert (args.count, args.length, args.unanswerable_fraction) == \
+            spec_defaults == (2000, 64, 1.0 / 3.0)
+
     def test_infeasible_request_exit_code(self, tmp_path, capsys):
         code = cli.main(["generate-data", "--length", "3",
                          "--out", str(tmp_path / "x.txt")])
@@ -398,6 +466,12 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: --seeds must be >= 1, got {seeds}")
         assert "PASS" not in captured.out
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert cli.main(["gradcheck", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.out == ""
 
     def test_all_pass_exit_zero(self, capsys):
         assert cli.main(["gradcheck", "--ops-only"]) == 0

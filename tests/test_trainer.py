@@ -3,9 +3,10 @@ import pytest
 
 from peftlab import autograd as ag
 from peftlab import encoder as enc
-from peftlab.encoder import AdapterConfig, FreezePolicy, desk_config
+from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, FreezePolicy,
+                             desk_config)
 from peftlab.span import generate_dataset
-from peftlab.trainer import (Adam, Model, TrainConfig, TrainingDiverged,
+from peftlab.trainer import (Adam, TrainConfig, TrainingDiverged, build_model,
                              efficiency_ratio, evaluate, save_loss_history,
                              train)
 
@@ -17,9 +18,7 @@ def small_setup(k=1, embeddings=False, adapter=None, count=24, seed=0):
     cfg = desk_config(adapter=adapter)
     ds = generate_dataset(seed=seed, count=count, seq_len=32, vocab_size=64,
                           unanswerable_fraction=0.25)
-    reg = enc.build_encoder(cfg, seed=seed)
-    enc.apply_freeze_policy(reg, cfg, FreezePolicy(k, embeddings))
-    return Model(reg, cfg), ds
+    return build_model(cfg, FreezePolicy(k, embeddings), AFFINE_SPAN, seed), ds
 
 
 class TestTrain:
@@ -60,9 +59,8 @@ class TestTrain:
         cfg = desk_config()
         ds = generate_dataset(seed=0, count=1608, seq_len=64, vocab_size=64,
                               unanswerable_fraction=1 / 3)
-        reg = enc.build_encoder(cfg, seed=0)
-        enc.apply_freeze_policy(reg, cfg, FreezePolicy(2, True))
-        result = train(Model(reg, cfg), ds, TrainConfig(epochs=1, seed=0))
+        model = build_model(cfg, FreezePolicy(2, True), AFFINE_SPAN, 0)
+        result = train(model, ds, TrainConfig(epochs=1, seed=0))
         losses = [loss for _, _, loss in result.loss_history]
         late = float(np.mean(losses[195:201]))
         assert late <= pinned_values.STEP200_LOSS_RATIO_MAX * losses[0]
