@@ -426,10 +426,17 @@ def attention(q, k, v, scale):
     """Scaled dot-product attention, softmax(q @ kᵀ * scale) @ v.
 
     q is [..., L, d]; k and v are [..., L', d] with the same leading axes
-    (for multi-head attention, [B, A, L, d]). The op performs the steps of
-    the chain matmul, scale, softmax, matmul in their order, but in place
-    and one leading-index slice at a time, and its backward is that chain's
-    backward. The only score-sized array it keeps is the probabilities.
+    (for multi-head attention, [B, A, L, d]). The heads are walked in groups
+    of max(1, BLOCK // (L·L')), so one group's scores stay in cache; a group
+    never spans two indices of the axes before the last leading one, so every
+    group of q, k and v is a view, also of the encoder's head-transposed
+    arrays. ``scale`` is applied to q, not to the scores. The only
+    score-sized array the op keeps is the unnormalised exps
+    e = exp(s − rowmax s), plus one row sum z per query: the output is
+    (e @ v) / z, so the probabilities e / z are never formed. The backward
+    takes the softmax correction rowsum(dP∘P) as rowsum(dO∘O) on [..., L, d]
+    (Dao et al. 2022, FlashAttention), not on the scores. Each head's
+    arithmetic, and so its result, is the same at every group size.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.data.ndim < 2 or k.data.shape != v.data.shape
@@ -438,41 +445,65 @@ def attention(q, k, v, scale):
         raise ShapeError(
             f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     scale = float(scale)
-    kt = np.swapaxes(k.data, -1, -2)
-    probs = np.empty(q.data.shape[:-1] + (k.data.shape[-2],))
-    slices = list(np.ndindex(probs.shape[:-3]))
-    for i in slices:
-        p = probs[i]
-        np.matmul(q.data[i], kt[i], out=p)
-        p *= scale
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-    data = probs @ v.data
+    L, d = q.data.shape[-2:]
+    Lk = k.data.shape[-2]
+    group = max(1, BLOCK // max(1, L * Lk))
+
+    def heads(a):  # [..., A, L, d] -> [N, A, L, d]
+        a = a[(None,) * max(0, 3 - a.ndim)]
+        return a.reshape((-1,) + a.shape[-3:])
+
+    qs = heads(q.data * scale)
+    kf, vf = heads(k.data), heads(v.data)
+    N, A = qs.shape[:2]
+    slices = [(b, slice(lo, lo + group))
+              for b in range(N) for lo in range(0, A, group)]
+    e = np.empty((N, A, L, Lk))
+    z = np.empty((N, A, L, 1))
+    out = np.empty((N, A, L, d))
+    for sl in slices:
+        s = e[sl]
+        np.matmul(qs[sl], np.swapaxes(kf[sl], -1, -2), out=s)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s.sum(axis=-1, keepdims=True, out=z[sl])
+        np.matmul(s, vf[sl], out=out[sl])
+    out /= z
 
     def backward(g):
-        if _needs_grad(v):
-            _accumulate(v, np.swapaxes(probs, -1, -2) @ g)
-        if not (_needs_grad(q) or _needs_grad(k)):
-            return
-        gq = np.empty(q.data.shape)
-        gkt = np.empty(kt.shape)
-        qt = np.swapaxes(q.data, -1, -2)
-        vt = np.swapaxes(v.data, -1, -2)
-        for i in slices:
-            p = probs[i]
-            gs = g[i] @ vt[i]                       # d probs
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p                                 # d (scaled) scores
-            gs *= scale
-            np.matmul(gs, k.data[i], out=gq[i])
-            np.matmul(qt[i], gs, out=gkt[i])
-        if _needs_grad(q):
-            _accumulate(q, gq)
-        if _needs_grad(k):
-            _accumulate(k, np.swapaxes(gkt, -1, -2))
+        gz = heads(g) / z                           # dO / z
+        qf = heads(q.data)
+        gq = np.empty((N, A, L, d)) if _needs_grad(q) else None
+        gkt = np.empty((N, A, d, Lk)) if _needs_grad(k) else None
+        gv = np.empty((N, A, Lk, d)) if _needs_grad(v) else None
+        if gq is not None or gkt is not None:
+            dot = (gz * out).sum(axis=-1, keepdims=True)  # rowsum(dP∘P) / z
+            gs_buf = np.empty((min(group, A), L, Lk))
+        for sl in slices:
+            es = e[sl]
+            if gv is not None:
+                np.matmul(np.swapaxes(es, -1, -2), gz[sl], out=gv[sl])
+            if gq is None and gkt is None:
+                continue
+            gs = gs_buf[:es.shape[0]]
+            np.matmul(gz[sl], np.swapaxes(vf[sl], -1, -2), out=gs)
+            gs -= dot[sl]
+            gs *= es                                # d (scaled) scores
+            if gq is not None:
+                np.matmul(gs, kf[sl], out=gq[sl])
+            if gkt is not None:
+                np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
+        for grad in (gq, gkt):
+            if grad is not None:
+                grad *= scale
+        # k's gradient is made transposed, as [..., d, L']: its swapped view
+        # then reshapes to the encoder's [..., L', H] layout without a copy
+        gk = None if gkt is None else np.swapaxes(gkt, -1, -2)
+        for t, grad in ((q, gq), (k, gk), (v, gv)):
+            if grad is not None:
+                _accumulate(t, grad.reshape(t.shape))
 
-    return _node(data, (q, k, v), backward)
+    return _node(out.reshape(q.data.shape), (q, k, v), backward)
 
 
 def layer_norm(x, gain, bias, eps=1e-12):

@@ -147,6 +147,8 @@ def _build_spec(label, section):
     elif head != AFFINE_SPAN:
         raise ValueError(f'head must be "{AFFINE_SPAN}" or "cacnn", got '
                          f'{head!r}')
+    elif stray := [key for key in section if key in CACNN_KEYS]:
+        raise ValueError(f"CACNN keys {', '.join(stray)} need head = cacnn")
 
     return ExperimentSpec(label, config, policy, head,
                           TrainConfig(**fields(TRAIN_KEYS)),

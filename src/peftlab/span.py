@@ -132,21 +132,24 @@ def decode_span(start_logits, end_logits, max_answer_len=30):
 
     Valid pairs satisfy 1 <= s <= e < L and e - s < max_answer_len; the null
     score is start[0] + end[0] and wins ties. Among spans, ties break toward
-    the earlier start, then the shorter span.
+    the earlier start, then the shorter span. Only the band of valid lengths
+    is scored: row s - 1 of a [L - 1, W] window holds the ends s .. s + W - 1,
+    with W = min(max_answer_len, L - 1) and -inf past the last token.
     """
     start_logits = np.asarray(start_logits, dtype=np.float64)
     end_logits = np.asarray(end_logits, dtype=np.float64)
     L = start_logits.shape[0]
-    null_score = start_logits[0] + end_logits[0]
-    scores = start_logits[:, None] + end_logits[None, :]
-    s_idx, e_idx = np.indices((L, L))
-    valid = (s_idx >= 1) & (e_idx >= s_idx) & (e_idx - s_idx < max_answer_len)
-    if not valid.any():
+    W = min(max_answer_len, L - 1)
+    if W < 1:
         return SpanPrediction((0, 0))
-    scores = np.where(valid, scores, -np.inf)
+    null_score = start_logits[0] + end_logits[0]
+    ends = np.concatenate((end_logits[1:], np.full(W - 1, -np.inf)))
+    scores = (start_logits[1:, None]
+              + np.lib.stride_tricks.sliding_window_view(ends, W))
     flat = int(scores.argmax())  # row-major: earliest start, then shortest span
-    best = (flat // L, flat % L)
-    span = (0, 0) if null_score >= scores[best] else best
+    row, offset = divmod(flat, W)
+    best = (row + 1, row + 1 + offset)
+    span = (0, 0) if null_score >= scores[row, offset] else best
     return SpanPrediction(span)
 
 

@@ -307,20 +307,82 @@ class TestBatchAxis:
                       "same")
 
     def test_attention_equals_the_unfused_chain(self):
+        # (2, 3, 130, 4) has one head per group, so six groups
         rng = np.random.default_rng(17)
-        q, k, v = (rng.standard_normal((2, 3, 5, 4)) for _ in range(3))
-        g = rng.standard_normal((2, 3, 5, 4))
-        fused = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        ag.attention(*fused, 0.5).backward(g)
-        for b in range(2):
-            for h in range(3):
-                qh, kh, vh = (Tensor(a[b, h], requires_grad=True)
-                              for a in (q, k, v))
-                scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 0.5)
-                ag.matmul(ag.softmax(scores, 1), vh).backward(g[b, h])
-                for t, ref in zip(fused, (qh, kh, vh)):
-                    assert np.allclose(t.grad[b, h], ref.grad, rtol=1e-12,
+        for shape in ((2, 3, 5, 4), (2, 3, 130, 4)):
+            q, k, v = (rng.standard_normal(shape) for _ in range(3))
+            g = rng.standard_normal(shape)
+            fused = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+            out = ag.attention(*fused, 0.5)
+            out.backward(g)
+            for b in range(shape[0]):
+                for h in range(shape[1]):
+                    qh, kh, vh = (Tensor(a[b, h], requires_grad=True)
+                                  for a in (q, k, v))
+                    scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 0.5)
+                    ref = ag.matmul(ag.softmax(scores, 1), vh)
+                    ref.backward(g[b, h])
+                    assert np.allclose(out.data[b, h], ref.data, rtol=1e-12,
                                        atol=1e-14)
+                    for t, ref in zip(fused, (qh, kh, vh)):
+                        assert np.allclose(t.grad[b, h], ref.grad,
+                                           rtol=1e-12, atol=1e-14)
+
+    @staticmethod
+    def _attention_run(q, k, v, g):
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = ag.attention(*ts, 0.3)
+        out.backward(g)
+        return [out.data] + [t.grad for t in ts]
+
+    # group sizes at the default BLOCK: 1310 (one group per row of A = 3
+    # heads), 3 (which divides neither A = 5 nor B·A = 10), the same on the
+    # encoder's head-transposed views, 2 (of A = 3), and 2 for a single head
+    # without leading axes
+    @pytest.mark.parametrize("q_shape, kv_shape, transposed", [
+        ((2, 3, 5, 4), (2, 3, 5, 4), False),
+        ((2, 5, 100, 4), (2, 5, 90, 4), False),
+        ((2, 5, 100, 4), (2, 5, 90, 4), True),
+        ((3, 120, 2), (3, 100, 2), False),
+        ((130, 4), (120, 4), False),
+    ])
+    def test_attention_is_bitwise_the_same_at_every_group_size(
+            self, monkeypatch, q_shape, kv_shape, transposed):
+        rng = np.random.default_rng(20)
+
+        def draw(shape):  # [B, A, L, d], optionally a view of [B, L, A, d]
+            if not transposed:
+                return rng.standard_normal(shape)
+            b, a, n, d = shape
+            return rng.standard_normal((b, n, a, d)).transpose(0, 2, 1, 3)
+
+        q = draw(q_shape)
+        k, v = draw(kv_shape), draw(kv_shape)
+        g = draw(q_shape)
+        default = self._attention_run(q, k, v, g)
+        for block in (16, 2 ** 40):
+            monkeypatch.setattr(ag, "BLOCK", block)
+            for got, want in zip(self._attention_run(q, k, v, g), default):
+                assert np.array_equal(got, want)
+
+    def test_no_grad_attention_equals_the_training_forward(self):
+        rng = np.random.default_rng(21)
+        q, k, v = (Tensor(rng.standard_normal((2, 3, 70, 4)),
+                          requires_grad=True) for _ in range(3))
+        trained = ag.attention(q, k, v, 0.5)
+        with ag.no_grad():
+            inferred = ag.attention(q, k, v, 0.5)
+        assert trained._backward is not None and inferred._backward is None
+        assert np.array_equal(inferred.data, trained.data)
+
+    def test_self_attention_on_one_tensor_sums_the_three_gradients(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 2, 6, 3))
+        g = rng.standard_normal((2, 2, 6, 3))
+        shared = Tensor(x, requires_grad=True)
+        ag.attention(shared, shared, shared, 0.3).backward(g)
+        _, gq, gk, gv = self._attention_run(x, x, x, g)
+        assert np.allclose(shared.grad, gq + gk + gv, rtol=1e-13, atol=1e-15)
 
     def test_training_attention_keeps_one_score_sized_array(self):
         B, A, L, d = 2, 2, 96, 2

@@ -128,6 +128,14 @@ class TestParseManifest:
         with pytest.raises(ManifestError, match="affine_span"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("head", ["", "head = affine_span\n"])
+    def test_cacnn_keys_need_the_cacnn_head(self, tmp_path, head):
+        path = write_manifest(
+            tmp_path, f"[a]\n{head}n_f = 8\nw_c = 3\nvariant = bogus\n")
+        with pytest.raises(ManifestError, match=r"^\[a\] CACNN keys n_f, "
+                           r"w_c, variant need head = cacnn$"):
+            parse_manifest(path)
+
     def test_shipped_manifests_parse(self):
         for name in ("table1.cfg", "table2.cfg", "desk.cfg"):
             specs = parse_manifest(os.path.join(REPO, "manifests", name))
@@ -334,7 +342,8 @@ INVALID_BODIES = ["batch_size = 0", "epochs = 0", "adapter_size = 0",
                   "vocab_size = 1", "dataset_count = -3", "seed = -1",
                   "learning_rate = nan", "learning_rate = inf",
                   "learning_rate = 0", "learning_rate = -1",
-                  "max_answer_len = 0", "max_answer_len = -5"]
+                  "max_answer_len = 0", "max_answer_len = -5",
+                  "n_f = 8\nw_c = 3\nvariant = bogus"]
 
 
 @pytest.mark.parametrize("command", ["count", "run"])

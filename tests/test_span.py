@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from peftlab.span import (SpanExample, SpanPrediction, decode_span,
                           generate_dataset, load_dataset, save_dataset, score,
@@ -129,6 +129,16 @@ class TestDecode:
             e = rng.standard_normal(L)
             assert decode_span(s, e, mal).span == \
                 decode_span_enumeration(s, e, mal)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 320), st.integers(0, 2**32 - 1))
+    def test_matches_enumeration_with_ties(self, L, max_answer_len, seed):
+        # logits from seven values, so equal scores, also equal to the null
+        # score, are common
+        rng = np.random.default_rng(seed)
+        s, e = (rng.integers(-3, 4, size=L) * 0.5 for _ in range(2))
+        assert decode_span(s, e, max_answer_len).span == \
+            decode_span_enumeration(s, e, max_answer_len)
 
     def test_max_answer_len_enforced(self):
         s = np.zeros(10)
