@@ -40,23 +40,6 @@ class CountReport:
                 + self.adapters + self.head)
 
 
-def _layer0(config, group):
-    return sum(math.prod(p.shape) for p in parameter_schema(config)
-               if p.group == group and p.layer == 0)
-
-
-def per_layer_attention(config):
-    return _layer0(config, "attention")
-
-
-def per_layer_ffn(config):
-    return _layer0(config, "ffn")
-
-
-def per_adapter(config):
-    return _layer0(config, "adapters") // 2  # one after each sublayer
-
-
 def count(config, policy, head=AFFINE_SPAN):
     schema = parameter_schema(config, include_head=head == AFFINE_SPAN)
     if head != AFFINE_SPAN:

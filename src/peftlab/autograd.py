@@ -15,8 +15,9 @@ mutates a ``.grad`` in place; accumulation always builds a new array. Leaves
 
 Every op takes optional leading batch axes, so one graph serves a whole
 mini-batch: a single example is a batch with no leading axis. Only the
-operations the encoder, adapter, and convolutional heads need are provided;
-there is no general broadcasting beyond what those layers use.
+operations the encoder, adapter, and convolutional heads need are provided,
+plus softmax (see the note above it); there is no general broadcasting
+beyond what those layers use.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ _GELU_C = 0.044715
 
 
 BLOCK = 1 << 15  # elements per block: 256 KiB of float64, sized for L2
+LAYER_NORM_EPS = 1e-12  # added to the variance, as in BERT
 
 
 def blockwise(kernel, arrays, outputs=0, scratch=0):
@@ -211,22 +213,6 @@ def add(a, b):
     return _node(data, (a, b), backward)
 
 
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def backward(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
 def scale(x, c):
     x = _as_tensor(x)
     c = float(c)
@@ -366,15 +352,6 @@ def split(x, sizes, axis=0):
     return outs
 
 
-def sum_all(x):
-    x = _as_tensor(x)
-
-    def backward(g):
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    return _node(x.data.sum(), (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and normalization
 # ---------------------------------------------------------------------------
@@ -407,6 +384,9 @@ def matmul(a, b):
     return _node(data, (a, b), backward)
 
 
+# no model calls softmax, because attention fuses its own; the op stays for
+# the benchmark tracer, which patches it by name, and as the unfused
+# reference the attention tests compare against
 def softmax(x, axis):
     x = _as_tensor(x)
     if not -x.data.ndim <= axis < x.data.ndim:
@@ -506,7 +486,7 @@ def attention(q, k, v, scale):
     return _node(out.reshape(q.data.shape), (q, k, v), backward)
 
 
-def layer_norm(x, gain, bias, eps=1e-12):
+def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     h = x.data.shape[-1]
@@ -516,7 +496,7 @@ def layer_norm(x, gain, bias, eps=1e-12):
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)  # population variance
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv_std
     out = xhat * gain.data + bias.data
 

@@ -10,7 +10,6 @@ input with leading batch axes gets one set of synthesized filters per example.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import autograd as ag
@@ -77,11 +76,6 @@ def parameter_schema(config, hidden_size):
                    head("context_bias", (m,), "zeros")]
     return schema + [head("head_w", (config.sample_filters, 2), "normal"),
                      head("head_b", (2,), "zeros")]
-
-
-def parameter_count(config, hidden_size):
-    """Trainable parameter count of the head, summed from its schema."""
-    return sum(math.prod(p.shape) for p in parameter_schema(config, hidden_size))
 
 
 def build_params(registry, config, hidden_size, seed):

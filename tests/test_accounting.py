@@ -46,21 +46,26 @@ class TestBertBaseRows:
 
     def test_per_layer_block_size(self):
         cfg = bert_base_config()
-        per_layer = (accounting.per_layer_attention(cfg)
-                     + accounting.per_layer_ffn(cfg))
+        rep = count(cfg, policy(0))
+        assert rep.attention == 12 * 2_362_368  # 4 * (768*768 + 768) a layer
+        assert rep.ffn == 12 * 4_722_432  # 2*768*3072 + 3072 + 768 a layer
+        assert 4 * (768 * 768 + 768) == 2_362_368
+        assert 2 * 768 * 3072 + 3072 + 768 == 4_722_432
+        per_layer = 2_362_368 + 4_722_432
         # with its two layer-norm pairs a full layer is 7,087,872
         assert per_layer + 4 * cfg.hidden_size == 7_087_872
         # sweep rows differ by attention + FFN only; norms never freeze
         assert 7_124_738 - 39_938 == per_layer
         assert 21_294_338 - 7_124_738 == 2 * per_layer
         assert 42_548_738 - 21_294_338 == 3 * per_layer
-        assert accounting.per_layer_ffn(cfg) == 2 * 768 * 3072 + 3072 + 768
 
 
 class TestAdapters:
     def test_per_adapter_closed_form(self):
         cfg = bert_base_config(adapter=AdapterConfig(64))
-        assert accounting.per_adapter(cfg) == 99_136  # 2*64*768 + 64 + 768
+        # two adapters a layer, one after each sublayer
+        assert count(cfg, policy(0)).adapters == 2 * 12 * 99_136
+        assert 2 * 64 * 768 + 64 + 768 == 99_136
 
     def test_adapter_only_row_and_footnote(self):
         cfg = bert_base_config(adapter=AdapterConfig(64))

@@ -6,7 +6,7 @@ import pytest
 
 from peftlab import autograd as ag
 from peftlab.autograd import ShapeError, Tensor
-from peftlab.checks import check_gradients, random_tensor
+from peftlab.checks import TOLERANCE, check_gradients, random_tensor, run_suite
 
 from oracles import conv1d_loops, gelu_reference
 
@@ -48,9 +48,7 @@ class TestSoftmax:
     def test_gradient(self):
         rng = np.random.default_rng(2)
         x = random_tensor(rng, (2, 5))
-        w = Tensor(rng.standard_normal((2, 5)))
-        fn = lambda: ag.sum_all(ag.mul(ag.softmax(x, 1), w))
-        assert check_gradients(fn, [x]) < 1e-6
+        assert check_gradients(lambda: ag.softmax(x, 1), [x]) < 1e-6
 
     def test_bad_axis(self):
         with pytest.raises(ShapeError):
@@ -78,8 +76,7 @@ class TestLayerNorm:
         rng = np.random.default_rng(4)
         x = random_tensor(rng, (3, 8))
         gain, bias = random_tensor(rng, (8,)), random_tensor(rng, (8,))
-        w = Tensor(rng.standard_normal((3, 8)))
-        fn = lambda: ag.sum_all(ag.mul(ag.layer_norm(x, gain, bias), w))
+        fn = lambda: ag.layer_norm(x, gain, bias)
         assert check_gradients(fn, [x, gain, bias]) < 1e-5
 
 
@@ -137,7 +134,7 @@ class TestMaxReduce:
 
     def test_tie_routes_to_first_index(self):
         x = Tensor([[2.0, 1.0], [2.0, 1.0]], requires_grad=True)
-        ag.sum_all(ag.max_reduce(x, 0)).backward()
+        ag.max_reduce(x, 0).backward(np.ones(2))
         assert np.array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0]])
 
     def test_gradient_distinct_entries(self):
@@ -173,9 +170,33 @@ class TestElementwise:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_all_ops_gradient(self, seed):
-        from peftlab.checks import run_suite
         for name, err, passed in run_suite(seed=seed, include_composites=False):
             assert passed, f"{name}: max rel err {err:.3e}"
+
+
+class TestGradientCheck:
+    def test_sees_a_gradient_error_orthogonal_to_ones(self):
+        # an exact identity whose backward reverses g: projected onto
+        # all-ones, its gradient cannot be told from the true one
+        x = random_tensor(np.random.default_rng(23), (6,))
+
+        def reversed_identity():
+            return ag._node(x.data.copy(), (x,),
+                            lambda g: ag._accumulate(x, g[::-1]))
+
+        assert check_gradients(reversed_identity, [x]) > TOLERANCE
+
+    def test_every_op_has_a_check(self):
+        public = {name for name, obj in vars(ag).items()
+                  if not name.startswith("_") and callable(obj)
+                  and getattr(obj, "__module__", None) == ag.__name__}
+        non_ops = {"Tensor", "ShapeError", "no_grad", "blockwise"}
+        assert non_ops <= public
+        checked = [name for name, _, _ in run_suite(include_composites=False)]
+        unchecked = [op for op in sorted(public - non_ops)
+                     if not any(c == op or c.startswith(op + "_")
+                                for c in checked)]
+        assert not unchecked
 
 
 class TestTapeProperties:
@@ -183,7 +204,7 @@ class TestTapeProperties:
     def test_finite_difference_agreement_many_seeds(self, seed):
         rng = np.random.default_rng(seed)
         a, b = random_tensor(rng, (3, 3)), random_tensor(rng, (3, 3))
-        fn = lambda: ag.sum_all(ag.gelu(ag.matmul(ag.softmax(a, 1), b)))
+        fn = lambda: ag.gelu(ag.matmul(ag.softmax(a, 1), b))
         assert check_gradients(fn, [a, b]) < 1e-4
 
     def test_backward_linearity(self):
@@ -196,11 +217,11 @@ class TestTapeProperties:
             out = parts[0]()
             for p in parts[1:]:
                 out = ag.add(out, p())
-            ag.sum_all(out).backward()
+            out.backward(np.ones(out.shape))
             return x.grad.copy()
 
         f = lambda: ag.gelu(x)
-        g = lambda: ag.mul(x, x)
+        g = lambda: ag.matmul(x, x)
         combined = run([f, g])
         assert np.allclose(combined, run([f]) + run([g]), atol=1e-12)
 
@@ -208,7 +229,7 @@ class TestTapeProperties:
         # y used twice: d(y + y)/dx must be exactly 2 * dy/dx
         x = Tensor(np.array([1.5, -0.5]), requires_grad=True)
         y = ag.gelu(x)
-        ag.sum_all(ag.add(y, y)).backward()
+        ag.add(y, y).backward(np.ones(2))
         expected = 2.0 * gelu_reference(x.data)[1]
         assert np.allclose(x.grad, expected, atol=1e-12)
 
@@ -217,8 +238,8 @@ class TestTapeProperties:
             rng = np.random.default_rng(42)
             a = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
             b = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
-            out = ag.sum_all(ag.gelu(ag.matmul(ag.softmax(a, 0), b)))
-            out.backward()
+            out = ag.gelu(ag.matmul(ag.softmax(a, 0), b))
+            out.backward(np.ones((5, 5)))
             return out.data.copy(), a.grad.copy(), b.grad.copy()
 
         o1, ga1, gb1 = run()
@@ -239,7 +260,7 @@ class TestLeanBackward:
     def test_leaf_gradients_do_not_alias(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((2, 3)), requires_grad=True)
-        ag.sum_all(ag.add(a, b)).backward()
+        ag.add(a, b).backward(np.ones((2, 3)))
         assert a.grad is not b.grad
         assert not np.shares_memory(a.grad, b.grad)
 
@@ -265,11 +286,12 @@ class TestLeanBackward:
                        requires_grad=freeze_after_forward)
         w = Tensor(rng.standard_normal((16, 64)), requires_grad=True)
         ids = rng.integers(0, 50000, size=16)
-        out = ag.sum_all(ag.mul(ag.embedding_lookup(table, ids), w))
+        out = ag.add(ag.embedding_lookup(table, ids), w)
+        g = np.ones((16, 64))
         table.requires_grad = False
         tracemalloc.start()
         try:
-            out.backward()
+            out.backward(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from peftlab import accounting
 from peftlab import autograd as ag
 from peftlab import cacnn
 from peftlab.cacnn import CacnnConfig, CONTEXT_VECTOR, SIMPLIFIED
-from peftlab.encoder import ParameterRegistry
+from peftlab.encoder import EncoderConfig, FreezePolicy, ParameterRegistry
 from peftlab.checks import check_gradients
 
 from oracles import cacnn_context_vector_loops, cacnn_simplified_loops
@@ -14,6 +15,13 @@ def make_head(config, hidden_size, seed=0):
     reg = ParameterRegistry()
     cacnn.build_params(reg, config, hidden_size, seed)
     return reg
+
+
+def head_count(config, hidden_size):
+    """The head's parameter count as ``accounting.count`` reports it."""
+    encoder = EncoderConfig(vocab_size=1, hidden_size=hidden_size, num_layers=0,
+                            num_heads=1, intermediate_size=1, max_seq_len=1)
+    return accounting.count(encoder, FreezePolicy(0), config).head
 
 
 def run_oracle(x, reg, config):
@@ -49,10 +57,10 @@ class TestConfig:
         ctx = CacnnConfig(CONTEXT_VECTOR, initial_filters=5, initial_width=3,
                           sample_filters=20, sample_width=2, context_width=2,
                           context_filters=4)
-        assert cacnn.parameter_count(ctx, h) == 5 * (3 * h + 1) + 4 * 3 + 42
+        assert head_count(ctx, h) == 5 * (3 * h + 1) + 4 * 3 + 42
         simple = CacnnConfig(SIMPLIFIED, initial_filters=5, initial_width=3,
                              sample_filters=20, sample_width=2)
-        assert cacnn.parameter_count(simple, h) == 5 * (3 * h + 1) + 42
+        assert head_count(simple, h) == 5 * (3 * h + 1) + 42
 
     def test_registry_matches_closed_form(self):
         for cfg in (
@@ -61,7 +69,7 @@ class TestConfig:
             CacnnConfig(SIMPLIFIED, 4, 2, 3, 2),
         ):
             reg = make_head(cfg, hidden_size=8)
-            assert reg.total_count == cacnn.parameter_count(cfg, 8)
+            assert reg.total_count == head_count(cfg, 8)
 
 
 class TestContextVectorForward:
@@ -98,7 +106,7 @@ class TestContextVectorForward:
         x = ag.Tensor(np.random.default_rng(4).standard_normal((32, 768)))
         out = cacnn.forward(x, reg, cfg)
         assert out.shape == (32, 20)
-        assert reg.total_count == cacnn.parameter_count(cfg, 768)
+        assert reg.total_count == head_count(cfg, 768)
 
 
 class TestSimplifiedForward:

@@ -26,13 +26,15 @@ def tiny_inputs(rng, length=6):
 class TestBuild:
     def test_per_layer_subtotal_at_bert_base(self):
         cfg = bert_base_config()
-        per_layer = (accounting.per_layer_attention(cfg)
-                     + accounting.per_layer_ffn(cfg) + 4 * cfg.hidden_size)
+        rep = accounting.count(cfg, FreezePolicy(0))
+        per_layer = ((rep.attention + rep.ffn) // cfg.num_layers
+                     + 4 * cfg.hidden_size)
         assert per_layer == 7_087_872
 
     def test_adapter_block_subtotal(self):
         cfg = bert_base_config(adapter=AdapterConfig(64))
-        assert accounting.per_adapter(cfg) == 99_136
+        rep = accounting.count(cfg, FreezePolicy(0))
+        assert rep.adapters == 2 * cfg.num_layers * 99_136
 
     def test_adapter_up_projection_zero_at_init(self):
         cfg = desk_config(adapter=AdapterConfig(4))
@@ -124,8 +126,7 @@ class TestFreezePolicy:
     def test_bert_base_closed_form_matches_table_rows(self):
         cfg = bert_base_config()
         h = cfg.hidden_size
-        p_layer = (accounting.per_layer_attention(cfg)
-                   + accounting.per_layer_ffn(cfg) + 4 * h)
+        p_layer = 2_362_368 + 4_722_432 + 4 * h  # attention, FFN, norms
         for k, expected in ((0, 39_938), (1, 7_124_738), (3, 21_294_338),
                             (6, 42_548_738)):
             closed = (k * p_layer + (cfg.num_layers - k) * 4 * h + 2 * h
