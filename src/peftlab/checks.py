@@ -44,18 +44,22 @@ def max_relative_error(analytic, numeric):
 def check_gradients(fn, tensors):
     """Compare tape gradients of ``fn()`` against finite differences.
 
-    Both sides differentiate <fn(), w> for one fixed-seed Gaussian cotangent
-    ``w`` shaped like the output (0-d for a scalar loss): the tape through
-    ``fn().backward(w)``, the differences through ``np.sum(fn().data * w)``.
-    A random ``w`` sees a gradient error in any direction of the output,
-    where projecting onto all-ones misses every error orthogonal to it.
-    Returns the maximum relative error over all checked tensors.
+    Both sides differentiate <fn(), w> for a cotangent ``w`` shaped like the
+    output: the tape through ``fn().backward(w)``, the differences through
+    ``np.sum(fn().data * w)``. A scalar loss takes ``w = 1``, so the error is
+    that of the gradient itself; any other output takes one fixed-seed
+    Gaussian ``w``, which sees a gradient error in any direction of the
+    output, where projecting onto all-ones misses every error orthogonal to
+    it. Returns the maximum relative error over all checked tensors.
     """
     for t in tensors:
         t.requires_grad = True
         t.zero_grad()
     out = fn()
-    w = np.random.default_rng(0).standard_normal(out.shape)
+    if out.data.ndim == 0:
+        w = np.ones(())
+    else:
+        w = np.random.default_rng(0).standard_normal(out.shape)
     out.backward(w)
 
     def projected():
@@ -161,14 +165,18 @@ def _composite_checks(rng):
         # tolerance cannot tell them from zero; move every weight to unit order
         for _, t in reg.items():
             t.data += rng.standard_normal(t.shape) * 0.5
-        encoder = [reg[n] for n in ("layer0.attn.q_w", "layer0.ffn.w1",
-                                    "layer0.adapter_attn.down_w",
-                                    "layer0.adapter_ffn.up_w",
-                                    "layer0.ln1_gain", "embeddings.token")]
         if head == enc.AFFINE_SPAN:
+            encoder = [reg[n] for n in ("layer0.attn.q_w", "layer0.ffn.w1",
+                                        "layer0.adapter_attn.down_w",
+                                        "layer0.adapter_ffn.up_w",
+                                        "layer0.ln1_gain", "embeddings.token")]
             yield ("encoder_adapter_forward",
                    lambda reg=reg: enc.forward(reg, config, tokens, segments),
                    encoder)
+        else:
+            # the encoder's backward is checked above; a CACNN head adds only
+            # the gradient into the encoder output, which one weight covers
+            encoder = [reg["layer0.adapter_ffn.up_w"]]
         head_params = [t for n, t in reg.items()
                        if reg.entry(n).group == "head"]
         yield (f"span_loss_{name}",

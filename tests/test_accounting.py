@@ -47,10 +47,9 @@ class TestBertBaseRows:
     def test_per_layer_block_size(self):
         cfg = bert_base_config()
         rep = count(cfg, policy(0))
-        assert rep.attention == 12 * 2_362_368  # 4 * (768*768 + 768) a layer
-        assert rep.ffn == 12 * 4_722_432  # 2*768*3072 + 3072 + 768 a layer
-        assert 4 * (768 * 768 + 768) == 2_362_368
-        assert 2 * 768 * 3072 + 3072 + 768 == 4_722_432
+        # 2,362,368 attention and 4,722,432 FFN parameters a layer
+        assert rep.attention == 12 * 4 * (768 * 768 + 768)
+        assert rep.ffn == 12 * (2 * 768 * 3072 + 3072 + 768)
         per_layer = 2_362_368 + 4_722_432
         # with its two layer-norm pairs a full layer is 7,087,872
         assert per_layer + 4 * cfg.hidden_size == 7_087_872
@@ -63,9 +62,9 @@ class TestBertBaseRows:
 class TestAdapters:
     def test_per_adapter_closed_form(self):
         cfg = bert_base_config(adapter=AdapterConfig(64))
-        # two adapters a layer, one after each sublayer
-        assert count(cfg, policy(0)).adapters == 2 * 12 * 99_136
-        assert 2 * 64 * 768 + 64 + 768 == 99_136
+        # two adapters a layer, one after each sublayer, 99,136 each
+        assert count(cfg, policy(0)).adapters == \
+            2 * 12 * (2 * 64 * 768 + 64 + 768)
 
     def test_adapter_only_row_and_footnote(self):
         cfg = bert_base_config(adapter=AdapterConfig(64))

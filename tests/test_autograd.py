@@ -186,6 +186,18 @@ class TestGradientCheck:
 
         assert check_gradients(reversed_identity, [x]) > TOLERANCE
 
+    def test_scalar_loss_is_checked_at_unit_weight(self):
+        # a scalar op whose gradient is 5e-4 too large must fail at 1e-4;
+        # a cotangent weight below 1 would scale the error under the gate
+        x = random_tensor(np.random.default_rng(29), (4,))
+
+        def inflated_sum():
+            return ag._node(np.array(x.data.sum()), (x,),
+                            lambda g: ag._accumulate(
+                                x, np.full(x.shape, g * (1 + 5e-4))))
+
+        assert check_gradients(inflated_sum, [x]) > TOLERANCE
+
     def test_every_op_has_a_check(self):
         public = {name for name, obj in vars(ag).items()
                   if not name.startswith("_") and callable(obj)
