@@ -1,17 +1,34 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps a numpy array and remembers the operations that produced it.
-Calling ``backward()`` on a scalar (or any tensor, with an explicit output
-gradient) walks the recorded graph in reverse topological order and
-accumulates gradients into every leaf with ``requires_grad=True``.
+A Tensor wraps a numpy array. An op with an operand that needs a gradient
+records a node on its output Tensor: the gradient flowing into that output,
+the graph vertices of those operands (their nodes, or the trainable leaves
+themselves) and a backward closure. Calling ``backward()`` on a scalar (or
+any tensor, with an explicit output gradient) walks the nodes in reverse
+topological order and accumulates gradients into every leaf with
+``requires_grad=True``.
+
+The tape keeps only what backward reads. A node references no Tensor but
+trainable leaves, so graph edges never pin an activation's array, and each
+closure keeps only the arrays its own gradient formulas read, chosen when
+the op is recorded from which operands need a gradient: matmul keeps ``a``
+only if ``b`` needs a gradient and ``b`` only if ``a`` does; add, scale,
+reshape, transpose, concat and split keep only shapes; layer_norm keeps the
+normalised input, not the input. An activation is therefore freed as soon as
+the forward code drops it, unless some backward reads it. Because the choice
+is made at record time, changing ``requires_grad`` after the forward can
+only remove gradients: a leaf frozen before ``backward()`` gets none, and a
+leaf that was frozen during the forward gets none either.
 
 Backward computes only gradients that are kept: an op skips every operand
-that is neither a trainable leaf nor a recorded node, so frozen weights cost
-no weight-gradient work. Interior nodes adopt the gradient array they are
-handed, and several nodes may share one array. That is safe because no op
-mutates a ``.grad`` in place; accumulation always builds a new array. Leaves
-(and the root's explicit output gradient) take a private copy, so a leaf's
-``.grad`` never aliases another array.
+that needs no gradient, so frozen weights cost no weight-gradient work. A
+node adopts the gradient array it is handed, and several nodes may share one
+array. That is safe because no op mutates a gradient in place; accumulation
+always builds a new array. Each node drops its gradient once its backward
+has run, so after ``backward()`` only leaves hold gradients (an output
+Tensor's own ``.grad`` stays None). Leaves (and the root's explicit output
+gradient) take a private copy, so a leaf's ``.grad`` never aliases another
+array.
 
 Every op takes optional leading batch axes, so one graph serves a whole
 mini-batch: a single example is a batch with no leading axis. Only the
@@ -79,17 +96,43 @@ def no_grad():
         _grad_enabled = prev
 
 
+class _Node:
+    """The graph vertex of a recorded op's output: everything but its array."""
+
+    __slots__ = ("grad", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, parents, backward):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+
 class Tensor:
     """A dense n-dimensional float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self._node = None  # set when a recorded op made this tensor
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        if self._node is None:  # an unrecorded tensor becomes a parentless node
+            self._node = _Node((), backward)
+        else:
+            self._node._backward = backward
 
     @property
     def shape(self):
@@ -125,11 +168,13 @@ class Tensor:
                 f"shape {self.data.shape}"
             )
 
-        order = _toposort(self)
-        _accumulate(self, grad)
-        for node in order:
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        root = self._node or self
+        order = _toposort(root)
+        _accumulate(root, grad)
+        for vertex in order:
+            if vertex._backward is not None and vertex.grad is not None:
+                vertex._backward(vertex.grad)
+                vertex.grad = None  # read by no other backward
 
 
 def _toposort(root):
@@ -153,28 +198,40 @@ def _toposort(root):
     return order
 
 
-def _needs_grad(tensor):
-    """True for a trainable leaf or a recorded node: its gradient is used."""
-    return tensor.requires_grad or tensor._backward is not None
+def _vertex(tensor):
+    """Where a gradient for ``tensor`` goes: the node of the op that made it,
+    the tensor itself if it is a trainable leaf, else (or under ``no_grad``)
+    None."""
+    if not _grad_enabled:
+        return None
+    if tensor._node is not None:
+        return tensor._node
+    return tensor if tensor.requires_grad else None
 
 
-def _accumulate(tensor, grad):
-    if not _needs_grad(tensor):
+def _needs_grad(vertex):
+    """True for a node or a leaf that is still trainable: its gradient is used."""
+    return vertex is not None and vertex.requires_grad
+
+
+def _accumulate(vertex, grad):
+    if not vertex.requires_grad:
         return
-    if tensor.grad is None:
-        if tensor._backward is None:  # a leaf keeps a private copy
+    if vertex.grad is None:
+        if vertex._backward is None:  # a leaf keeps a private copy
             grad = np.array(grad, dtype=np.float64)
-        tensor.grad = grad
+        vertex.grad = grad
     else:
-        tensor.grad = tensor.grad + grad
+        vertex.grad = vertex.grad + grad
 
 
 def _node(data, parents, backward):
+    """Wrap ``data``; record ``backward`` if a parent vertex needs a gradient."""
     out = Tensor(data)
-    if _grad_enabled and any(_needs_grad(p) for p in parents):
+    parents = tuple(p for p in parents if _needs_grad(p))
+    if _grad_enabled and parents:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(parents, backward)
     return out
 
 
@@ -203,24 +260,27 @@ def add(a, b):
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    va, vb = _vertex(a), _vertex(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        if _needs_grad(a):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if _needs_grad(b):
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if _needs_grad(va):
+            _accumulate(va, _unbroadcast(g, a_shape))
+        if _needs_grad(vb):
+            _accumulate(vb, _unbroadcast(g, b_shape))
 
-    return _node(data, (a, b), backward)
+    return _node(data, (va, vb), backward)
 
 
 def scale(x, c):
     x = _as_tensor(x)
     c = float(c)
+    vx = _vertex(x)
 
     def backward(g):
-        _accumulate(x, g * c)
+        _accumulate(vx, g * c)
 
-    return _node(x.data * c, (x,), backward)
+    return _node(x.data * c, (vx,), backward)
 
 
 def gelu(x):
@@ -238,12 +298,13 @@ def gelu(x):
     x = _as_tensor(x)
     v = x.data
     t, out = blockwise(_gelu_forward, (v,), outputs=2, scratch=1)
+    vx = _vertex(x)
 
     def backward(g):
         gx, = blockwise(_gelu_backward, (g, v, t), outputs=1, scratch=2)
-        _accumulate(x, gx)
+        _accumulate(vx, gx)
 
-    return _node(out, (x,), backward)
+    return _node(out, (vx,), backward)
 
 
 def _gelu_forward(v, t, out, u):
@@ -282,11 +343,12 @@ def reshape(x, shape):
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
     old_shape = x.data.shape
+    vx = _vertex(x)
 
     def backward(g):
-        _accumulate(x, g.reshape(old_shape))
+        _accumulate(vx, g.reshape(old_shape))
 
-    return _node(x.data.reshape(shape), (x,), backward)
+    return _node(x.data.reshape(shape), (vx,), backward)
 
 
 def transpose(x, axes=None):
@@ -295,11 +357,12 @@ def transpose(x, axes=None):
         axes = tuple(reversed(range(x.data.ndim)))
     axes = tuple(axes)
     inv = np.argsort(axes)
+    vx = _vertex(x)
 
     def backward(g):
-        _accumulate(x, g.transpose(inv))
+        _accumulate(vx, g.transpose(inv))
 
-    return _node(x.data.transpose(axes), (x,), backward)
+    return _node(x.data.transpose(axes), (vx,), backward)
 
 
 def concat(tensors, axis=0):
@@ -314,16 +377,17 @@ def concat(tensors, axis=0):
         )
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    vertices = [_vertex(t) for t in tensors]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if not _needs_grad(t):
+        for vt, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
+            if not _needs_grad(vt):
                 continue
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(idx)])
+            _accumulate(vt, g[tuple(idx)])
 
-    return _node(data, tuple(tensors), backward)
+    return _node(data, vertices, backward)
 
 
 def split(x, sizes, axis=0):
@@ -334,6 +398,8 @@ def split(x, sizes, axis=0):
             f"split: sizes {sizes} do not sum to axis length "
             f"{x.data.shape[axis]} of shape {x.shape}"
         )
+    vx = _vertex(x)
+    x_shape = x.data.shape
     outs = []
     lo = 0
     for size in sizes:
@@ -343,11 +409,11 @@ def split(x, sizes, axis=0):
         idx = tuple(idx)
 
         def backward(g, idx=idx):
-            full = np.zeros_like(x.data)
+            full = np.zeros(x_shape)
             full[idx] = g
-            _accumulate(x, full)
+            _accumulate(vx, full)
 
-        outs.append(_node(x.data[idx], (x,), backward))
+        outs.append(_node(x.data[idx], (vx,), backward))
         lo = hi
     return outs
 
@@ -370,18 +436,21 @@ def matmul(a, b):
         data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
     else:
         data = a.data @ b.data
+    va, vb = _vertex(a), _vertex(b)
+    a_data = a.data if vb is not None else None  # b's gradient reads a
+    b_data = b.data if va is not None else None  # a's gradient reads b
 
     def backward(g):
-        if _needs_grad(a):
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if not _needs_grad(b):
+        if _needs_grad(va):
+            _accumulate(va, g @ np.swapaxes(b_data, -1, -2))
+        if not _needs_grad(vb):
             return
         if shared:
-            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            _accumulate(vb, a_data.reshape(-1, k).T @ g.reshape(-1, n))
         else:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accumulate(vb, np.swapaxes(a_data, -1, -2) @ g)
 
-    return _node(data, (a, b), backward)
+    return _node(data, (va, vb), backward)
 
 
 # no model calls softmax, because attention fuses its own; the op stays for
@@ -394,12 +463,13 @@ def softmax(x, axis):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
+    vx = _vertex(x)
 
     def backward(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(x, y * (g - dot))
+        _accumulate(vx, y * (g - dot))
 
-    return _node(y, (x,), backward)
+    return _node(y, (vx,), backward)
 
 
 def attention(q, k, v, scale):
@@ -411,9 +481,11 @@ def attention(q, k, v, scale):
     never spans two indices of the axes before the last leading one, so every
     group of q, k and v is a view, also of the encoder's head-transposed
     arrays. ``scale`` is applied to q, not to the scores. The only
-    score-sized array the op keeps is the unnormalised exps
+    score-sized array a recorded op keeps is the unnormalised exps
     e = exp(s − rowmax s), plus one row sum z per query: the output is
-    (e @ v) / z, so the probabilities e / z are never formed. The backward
+    (e @ v) / z, so the probabilities e / z are never formed. When nothing
+    is recorded (under ``no_grad``, or with no operand needing a gradient),
+    every group reuses one group-sized score buffer instead. The backward
     takes the softmax correction rowsum(dP∘P) as rowsum(dO∘O) on [..., L, d]
     (Dao et al. 2022, FlashAttention), not on the scores. Each head's
     arithmetic, and so its result, is the same at every group size.
@@ -433,31 +505,40 @@ def attention(q, k, v, scale):
         a = a[(None,) * max(0, 3 - a.ndim)]
         return a.reshape((-1,) + a.shape[-3:])
 
+    vq, vk, vv = _vertex(q), _vertex(k), _vertex(v)
+    recorded = any(vt is not None for vt in (vq, vk, vv))
     qs = heads(q.data * scale)
     kf, vf = heads(k.data), heads(v.data)
     N, A = qs.shape[:2]
     slices = [(b, slice(lo, lo + group))
               for b in range(N) for lo in range(0, A, group)]
-    e = np.empty((N, A, L, Lk))
+    e = np.empty((N, A, L, Lk) if recorded else (min(group, A), L, Lk))
     z = np.empty((N, A, L, 1))
     out = np.empty((N, A, L, d))
     for sl in slices:
-        s = e[sl]
-        np.matmul(qs[sl], np.swapaxes(kf[sl], -1, -2), out=s)
+        qg = qs[sl]
+        s = e[sl] if recorded else e[:len(qg)]
+        np.matmul(qg, np.swapaxes(kf[sl], -1, -2), out=s)
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s.sum(axis=-1, keepdims=True, out=z[sl])
         np.matmul(s, vf[sl], out=out[sl])
     out /= z
+    q_shape, kv_shape = q.data.shape, k.data.shape
+    # k's gradient reads q, q's reads k, and both read v and the output;
+    # v's reads only e and z
+    scores_grad = vq is not None or vk is not None
+    qf = heads(q.data) if vk is not None else None
+    kf = kf if vq is not None else None
+    vf, kept_out = (vf, out) if scores_grad else (None, None)
 
     def backward(g):
         gz = heads(g) / z                           # dO / z
-        qf = heads(q.data)
-        gq = np.empty((N, A, L, d)) if _needs_grad(q) else None
-        gkt = np.empty((N, A, d, Lk)) if _needs_grad(k) else None
-        gv = np.empty((N, A, Lk, d)) if _needs_grad(v) else None
+        gq = np.empty((N, A, L, d)) if _needs_grad(vq) else None
+        gkt = np.empty((N, A, d, Lk)) if _needs_grad(vk) else None
+        gv = np.empty((N, A, Lk, d)) if _needs_grad(vv) else None
         if gq is not None or gkt is not None:
-            dot = (gz * out).sum(axis=-1, keepdims=True)  # rowsum(dP∘P) / z
+            dot = (gz * kept_out).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
             gs_buf = np.empty((min(group, A), L, Lk))
         for sl in slices:
             es = e[sl]
@@ -479,11 +560,12 @@ def attention(q, k, v, scale):
         # k's gradient is made transposed, as [..., d, L']: its swapped view
         # then reshapes to the encoder's [..., L', H] layout without a copy
         gk = None if gkt is None else np.swapaxes(gkt, -1, -2)
-        for t, grad in ((q, gq), (k, gk), (v, gv)):
+        for vt, grad, shape in ((vq, gq, q_shape), (vk, gk, kv_shape),
+                                (vv, gv, kv_shape)):
             if grad is not None:
-                _accumulate(t, grad.reshape(t.shape))
+                _accumulate(vt, grad.reshape(shape))
 
-    return _node(out.reshape(q.data.shape), (q, k, v), backward)
+    return _node(out.reshape(q_shape), (vq, vk, vv), backward)
 
 
 def layer_norm(x, gain, bias):
@@ -499,24 +581,28 @@ def layer_norm(x, gain, bias):
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv_std
     out = xhat * gain.data + bias.data
+    vx, vgain, vbias = _vertex(x), _vertex(gain), _vertex(bias)
+    gain_data = gain.data
+    if vx is None and vgain is None:  # only their gradients read xhat
+        xhat = None
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        if _needs_grad(gain):
-            _accumulate(gain, (g * xhat).sum(axis=lead))
-        if _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=lead))
-        if not _needs_grad(x):
+        if _needs_grad(vgain):
+            _accumulate(vgain, (g * xhat).sum(axis=lead))
+        if _needs_grad(vbias):
+            _accumulate(vbias, g.sum(axis=lead))
+        if not _needs_grad(vx):
             return
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         dx = inv_std * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         )
-        _accumulate(x, dx)
+        _accumulate(vx, dx)
 
-    return _node(out, (x, gain, bias), backward)
+    return _node(out, (vx, vgain, vbias), backward)
 
 
 def conv1d(x, filters, padding):
@@ -564,10 +650,14 @@ def conv1d(x, filters, padding):
     for j in range(width):
         for c in range(channels):
             data += xp[..., j:j + out_len, c, None] * filters.data[..., None, :, j, c]
-    flat_filters = filters.data.reshape(filters.data.shape[:-2] + (-1,))
+    vx, vf = _vertex(x), _vertex(filters)
+    f_shape, xp_shape = filters.data.shape, xp.shape
+    flat_filters = filters.data.reshape(f_shape[:-2] + (-1,))
+    if vf is None:  # only the filters' gradient reads the padded input
+        xp = None
 
     def backward(g):
-        if _needs_grad(filters):
+        if _needs_grad(vf):
             windows = np.swapaxes(np.lib.stride_tricks.sliding_window_view(
                 xp, width, axis=-2), -1, -2).reshape(
                     lead + (out_len, width * channels))
@@ -576,16 +666,16 @@ def conv1d(x, filters, padding):
             else:  # one gemm over every leading row
                 gf = (g.reshape(-1, n_filters).T
                       @ windows.reshape(-1, width * channels))
-            _accumulate(filters, gf.reshape(filters.data.shape))
-        if not _needs_grad(x):
+            _accumulate(vf, gf.reshape(f_shape))
+        if not _needs_grad(vx):
             return
         gwin = (g @ flat_filters).reshape(lead + (out_len, width, channels))
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros(xp_shape)
         for j in range(width):
             gxp[..., j:j + out_len, :] += gwin[..., j, :]
-        _accumulate(x, gxp[..., pad_left:pad_left + length, :])
+        _accumulate(vx, gxp[..., pad_left:pad_left + length, :])
 
-    return _node(data, (x, filters), backward)
+    return _node(data, (vx, vf), backward)
 
 
 def max_reduce(x, axis=-2):
@@ -595,13 +685,14 @@ def max_reduce(x, axis=-2):
         raise ShapeError(f"max_reduce: expected at least 2-d input, got {x.shape}")
     idx = np.expand_dims(x.data.argmax(axis=axis), axis)  # first max on ties
     data = np.take_along_axis(x.data, idx, axis=axis).squeeze(axis)
+    vx, x_shape = _vertex(x), x.data.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape)
         np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
-        _accumulate(x, gx)
+        _accumulate(vx, gx)
 
-    return _node(data, (x,), backward)
+    return _node(data, (vx,), backward)
 
 
 def embedding_lookup(table, ids):
@@ -617,14 +708,16 @@ def embedding_lookup(table, ids):
             f"embedding_lookup: id out of range [0, {table.data.shape[0]})"
         )
 
-    def backward(g):
-        if not _needs_grad(table):  # a frozen table gets no dense gradient
-            return
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        _accumulate(table, gt)
+    vt, t_shape = _vertex(table), table.data.shape
 
-    return _node(table.data[ids], (table,), backward)
+    def backward(g):
+        if not _needs_grad(vt):  # a frozen table gets no dense gradient
+            return
+        gt = np.zeros(t_shape)
+        np.add.at(gt, ids.reshape(-1), g.reshape(-1, t_shape[1]))
+        _accumulate(vt, gt)
+
+    return _node(table.data[ids], (vt,), backward)
 
 
 def cross_entropy_from_logits(logits, target_index):
@@ -651,10 +744,11 @@ def cross_entropy_from_logits(logits, target_index):
     m = logits.data.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(logits.data - m).sum(axis=-1, keepdims=True))
     loss = (lse.reshape(-1) - logits.data.reshape(-1, n)[rows]).sum()
+    vx, logit_data = _vertex(logits), logits.data
 
     def backward(g):
-        p = np.exp(logits.data - lse)
+        p = np.exp(logit_data - lse)
         p.reshape(-1, n)[rows] -= 1.0
-        _accumulate(logits, float(g) * p)
+        _accumulate(vx, float(g) * p)
 
-    return _node(loss, (logits,), backward)
+    return _node(loss, (vx,), backward)

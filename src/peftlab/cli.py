@@ -151,6 +151,12 @@ def cmd_plotdata(args):
         except (ValueError, OSError) as exc:
             return _fail(EXIT_VALIDATION, exc)
         for row in report:
+            try:
+                int(row["trainable_params"])
+            except (TypeError, ValueError):
+                return _fail(EXIT_VALIDATION,
+                             f"{path}: row {row['label']!r}: trainable_params "
+                             f"{row['trainable_params']!r} is not an integer")
             seen.setdefault(row["label"], []).append(path)
             rows.append(row)
     duplicates = sorted(l for l, paths in seen.items() if len(paths) > 1)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -319,6 +320,76 @@ class TestLeanBackward:
         assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-14
 
 
+class TestSavedArrays:
+    @pytest.mark.parametrize("weight_trains", [False, True])
+    def test_matmul_keeps_its_input_only_for_a_trainable_weight(
+            self, weight_trains):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((5, 2)), requires_grad=weight_trains)
+        h = ag.matmul(x, w1)
+        alive = weakref.ref(h.data)
+        out = ag.matmul(h, w2)
+        del h
+        assert (alive() is not None) == weight_trains
+        g = rng.standard_normal((4, 2))
+        out.backward(g)
+        assert np.allclose(w1.grad, x.data.T @ (g @ w2.data.T),
+                           rtol=1e-12, atol=0)
+        assert (w2.grad is not None) == weight_trains
+
+    def test_add_operands_and_layer_norm_input_are_freed(self):
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        w1, w2 = (Tensor(rng.standard_normal((6, 6)), requires_grad=True)
+                  for _ in range(2))
+        gain = Tensor(rng.standard_normal(6), requires_grad=True)
+        bias = Tensor(rng.standard_normal(6), requires_grad=True)
+        a, b = ag.matmul(x, w1), ag.matmul(x, w2)
+        operands = [weakref.ref(a.data), weakref.ref(b.data)]
+        s = ag.add(a, b)
+        del a, b
+        assert all(ref() is None for ref in operands)
+        summed = weakref.ref(s.data)
+        out = ag.layer_norm(s, gain, bias)
+        del s
+        assert summed() is None
+        out.backward(rng.standard_normal((4, 6)))
+        assert all(t.grad is not None for t in (x, w1, w2, gain, bias))
+
+    def test_backward_drops_every_interior_gradient(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        h = ag.matmul(x, w1)
+        y = ag.matmul(ag.gelu(h), w2)
+        root = ag.add(y, ag.scale(y, 2.0))  # y's gradient is accumulated
+        interior = [v for v in ag._toposort(root) if v._backward is not None]
+        g = rng.standard_normal((3, 2))
+        root.backward(g)
+        assert len(interior) == 5
+        assert all(v.grad is None for v in interior)
+        act, dact = gelu_reference(h.data)
+        gy = g + g * 2.0
+        gh = (gy @ w2.data.T) * dact
+        for leaf, want in ((w2, act.T @ gy), (w1, x.data.T @ gh),
+                           (x, gh @ w1.data.T)):
+            assert np.allclose(leaf.grad, want, rtol=1e-12, atol=1e-14)
+
+    def test_unfreezing_after_the_forward_adds_no_gradient(self):
+        # what a backward reads is chosen when the op is recorded, so a flag
+        # flipped after the forward can only remove gradients
+        rng = np.random.default_rng(27)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)))
+        out = ag.matmul(x, w)
+        w.requires_grad = True
+        out.backward(np.ones((3, 2)))
+        assert x.grad is not None and w.grad is None
+
+
 class TestBatchAxis:
     def test_conv1d_batch_rows_equal_per_example_and_loop_oracle(self):
         rng = np.random.default_rng(16)
@@ -408,6 +479,24 @@ class TestBatchAxis:
             inferred = ag.attention(q, k, v, 0.5)
         assert trained._backward is not None and inferred._backward is None
         assert np.array_equal(inferred.data, trained.data)
+
+    def test_no_grad_attention_keeps_one_group_of_scores(self):
+        B, A, L, d = 8, 4, 256, 8
+        rng = np.random.default_rng(28)
+        q, k, v = (Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
+                   for _ in range(3))
+        group = max(1, ag.BLOCK // (L * L))
+        group_bytes = min(group, A) * L * L * 8
+        with ag.no_grad():
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                ag.attention(q, k, v, 0.5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # the scaled q and the output are q-sized; the scores take one group
+        assert peak - before < 2 * q.data.nbytes + 2 * group_bytes
 
     def test_self_attention_on_one_tensor_sums_the_three_gradients(self):
         rng = np.random.default_rng(22)

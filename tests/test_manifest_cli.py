@@ -424,6 +424,25 @@ class TestPlotdata:
         assert code == 1
         assert "duplicate labels: x" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params", ["12.5", None])
+    def test_non_integer_trainable_params_rejected_before_writing(
+            self, tmp_path, capsys, params):
+        bad = tmp_path / "bad.csv"
+        row = ["y", 1, "", params, 50.0, 61.0, 1.0, 0.5, 1.0]
+        if params is None:  # a short row leaves the cell missing
+            row = row[:3]
+        with open(bad, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(cli.REPORT_COLUMNS)
+            writer.writerow(["x", 1, "", 1000, 50.0, 60.0, 1.0, 0.5, 1.0])
+            writer.writerow(row)
+        out = tmp_path / "p"
+        code = cli.main(["plotdata", str(bad), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'y'" in err and "trainable_params" in err
+        assert not out.exists()
+
     def test_missing_column_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,f1\nx,70\n")
