@@ -14,8 +14,12 @@ closure keeps only the arrays its own gradient formulas read, chosen when
 the op is recorded from which operands need a gradient: matmul keeps ``a``
 only if ``b`` needs a gradient and ``b`` only if ``a`` does; add, scale,
 reshape, transpose, concat and split keep only shapes; layer_norm keeps the
-normalised input, not the input. An activation is therefore freed as soon as
-the forward code drops it, unless some backward reads it. Because the choice
+normalised input, not the input; attention keeps no score-sized array,
+only q, k, v (v only if q or k needs a gradient), its output and two row
+statistics of shape [..., L, 1], and its backward recomputes the exps group
+by group, bit for bit, so q, k and v must not change between the forward
+and the backward. An activation is therefore freed as soon as the forward
+code drops it, unless some backward reads it. Because the choice
 is made at record time, changing ``requires_grad`` after the forward can
 only remove gradients: a leaf frozen before ``backward()`` gets none, and a
 leaf that was frozen during the forward gets none either.
@@ -480,15 +484,18 @@ def attention(q, k, v, scale):
     of max(1, BLOCK // (L·L')), so one group's scores stay in cache; a group
     never spans two indices of the axes before the last leading one, so every
     group of q, k and v is a view, also of the encoder's head-transposed
-    arrays. ``scale`` is applied to q, not to the scores. The only
-    score-sized array a recorded op keeps is the unnormalised exps
-    e = exp(s − rowmax s), plus one row sum z per query: the output is
-    (e @ v) / z, so the probabilities e / z are never formed. When nothing
-    is recorded (under ``no_grad``, or with no operand needing a gradient),
-    every group reuses one group-sized score buffer instead. The backward
-    takes the softmax correction rowsum(dP∘P) as rowsum(dO∘O) on [..., L, d]
-    (Dao et al. 2022, FlashAttention), not on the scores. Each head's
-    arithmetic, and so its result, is the same at every group size.
+    arrays. Per group, ``scale`` is applied to q, not to the scores, and the
+    scores fill one group-sized buffer that every group reuses: shifted by
+    their row max m and exponentiated to e = exp(s − m), they give one row
+    sum z per query and the output (e @ v) / z, so the probabilities e / z
+    are never formed. A recorded op keeps no score-sized array, only q, k,
+    v, the output, m and z. Its backward walks the same groups and
+    recomputes each group's exps with the same numpy calls on the same
+    operands, so bit for bit; q, k and v must therefore not change between
+    the forward and the backward. The softmax correction rowsum(dP∘P) is
+    taken as rowsum(dO∘O) on [..., L, d] (Dao et al. 2022, FlashAttention).
+    Each head's arithmetic, and so its result, is the same at every group
+    size.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.data.ndim < 2 or k.data.shape != v.data.shape
@@ -506,49 +513,53 @@ def attention(q, k, v, scale):
         return a.reshape((-1,) + a.shape[-3:])
 
     vq, vk, vv = _vertex(q), _vertex(k), _vertex(v)
-    recorded = any(vt is not None for vt in (vq, vk, vv))
-    qs = heads(q.data * scale)
-    kf, vf = heads(k.data), heads(v.data)
-    N, A = qs.shape[:2]
+    qf, kf, vf = heads(q.data), heads(k.data), heads(v.data)
+    N, A = qf.shape[:2]
     slices = [(b, slice(lo, lo + group))
               for b in range(N) for lo in range(0, A, group)]
-    e = np.empty((N, A, L, Lk) if recorded else (min(group, A), L, Lk))
-    z = np.empty((N, A, L, 1))
+
+    def scores(sl, qs, s):  # group sl's (q·scale) @ kᵀ, in buffers qs and s
+        qg = np.multiply(qf[sl], scale, out=qs[:len(qf[sl])])
+        return np.matmul(qg, np.swapaxes(kf[sl], -1, -2), out=s[:len(qg)])
+
+    n = min(group, A)
+    qs, s_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
+    m, z = np.empty((N, A, L, 1)), np.empty((N, A, L, 1))
     out = np.empty((N, A, L, d))
     for sl in slices:
-        qg = qs[sl]
-        s = e[sl] if recorded else e[:len(qg)]
-        np.matmul(qg, np.swapaxes(kf[sl], -1, -2), out=s)
-        s -= s.max(axis=-1, keepdims=True)
+        s = scores(sl, qs, s_buf)
+        s -= s.max(axis=-1, keepdims=True, out=m[sl])
         np.exp(s, out=s)
         s.sum(axis=-1, keepdims=True, out=z[sl])
         np.matmul(s, vf[sl], out=out[sl])
     out /= z
     q_shape, kv_shape = q.data.shape, k.data.shape
-    # k's gradient reads q, q's reads k, and both read v and the output;
-    # v's reads only e and z
+    # every gradient reads the exps, so q and k are kept to recompute them;
+    # q's and k's gradients also read v and the output
     scores_grad = vq is not None or vk is not None
-    qf = heads(q.data) if vk is not None else None
-    kf = kf if vq is not None else None
     vf, kept_out = (vf, out) if scores_grad else (None, None)
 
     def backward(g):
-        gz = heads(g) / z                           # dO / z
+        g = heads(g)
         gq = np.empty((N, A, L, d)) if _needs_grad(vq) else None
         gkt = np.empty((N, A, d, Lk)) if _needs_grad(vk) else None
         gv = np.empty((N, A, Lk, d)) if _needs_grad(vv) else None
+        qs, e_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
         if gq is not None or gkt is not None:
-            dot = (gz * kept_out).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
-            gs_buf = np.empty((min(group, A), L, Lk))
+            gs_buf = np.empty((n, L, Lk))
         for sl in slices:
-            es = e[sl]
+            es = scores(sl, qs, e_buf)
+            es -= m[sl]
+            np.exp(es, out=es)
+            gz = g[sl] / z[sl]                      # dO / z
             if gv is not None:
-                np.matmul(np.swapaxes(es, -1, -2), gz[sl], out=gv[sl])
+                np.matmul(np.swapaxes(es, -1, -2), gz, out=gv[sl])
             if gq is None and gkt is None:
                 continue
-            gs = gs_buf[:es.shape[0]]
-            np.matmul(gz[sl], np.swapaxes(vf[sl], -1, -2), out=gs)
-            gs -= dot[sl]
+            dot = (gz * kept_out[sl]).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
+            gs = gs_buf[:len(es)]
+            np.matmul(gz, np.swapaxes(vf[sl], -1, -2), out=gs)
+            gs -= dot
             gs *= es                                # d (scaled) scores
             if gq is not None:
                 np.matmul(gs, kf[sl], out=gq[sl])

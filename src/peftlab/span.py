@@ -192,18 +192,3 @@ def save_dataset(examples, path):
             toks = " ".join(str(t) for t in ex.tokens)
             segs = " ".join(str(s) for s in ex.segments)
             fh.write(f"{toks}|{segs}|{ex.gold_span[0]} {ex.gold_span[1]}\n")
-
-
-def load_dataset(path):
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            toks_s, segs_s, gold_s = line.split("|")
-            tokens = np.array([int(t) for t in toks_s.split()], dtype=np.int64)
-            segments = np.array([int(s) for s in segs_s.split()], dtype=np.int64)
-            gs, ge = (int(v) for v in gold_s.split())
-            examples.append(SpanExample(tokens, segments, (gs, ge)))
-    return examples

@@ -109,6 +109,61 @@ def gelu_reference(v):
     return out, dx
 
 
+def attention_stored_exps(q, k, v, g, scale, block=1 << 15):
+    """Attention that stores every head's exps, forward and backward.
+
+    The fused op as it was before its backward recomputed the exps: the
+    forward scales the whole q, keeps e = exp(s − rowmax s) for all heads
+    [N, A, L, L'] and walks the heads in groups of max(1, block // (L·L'));
+    the backward reads the stored exps. q, k, v and g are [..., L, d]
+    arrays as ``autograd.attention`` takes them. Returns (out, gq, gk, gv).
+    """
+    L, d = q.shape[-2:]
+    Lk = k.shape[-2]
+    group = max(1, block // max(1, L * Lk))
+
+    def heads(a):
+        a = a[(None,) * max(0, 3 - a.ndim)]
+        return a.reshape((-1,) + a.shape[-3:])
+
+    qs = heads(q * scale)
+    qf, kf, vf = heads(q), heads(k), heads(v)
+    N, A = qs.shape[:2]
+    slices = [(b, slice(lo, lo + group))
+              for b in range(N) for lo in range(0, A, group)]
+    e = np.empty((N, A, L, Lk))
+    z = np.empty((N, A, L, 1))
+    out = np.empty((N, A, L, d))
+    for sl in slices:
+        s = e[sl]
+        np.matmul(qs[sl], np.swapaxes(kf[sl], -1, -2), out=s)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s.sum(axis=-1, keepdims=True, out=z[sl])
+        np.matmul(s, vf[sl], out=out[sl])
+    out /= z
+
+    gz = heads(g) / z
+    gq, gkt, gv = (np.empty((N, A, L, d)), np.empty((N, A, d, Lk)),
+                   np.empty((N, A, Lk, d)))
+    dot = (gz * out).sum(axis=-1, keepdims=True)
+    gs_buf = np.empty((min(group, A), L, Lk))
+    for sl in slices:
+        es = e[sl]
+        np.matmul(np.swapaxes(es, -1, -2), gz[sl], out=gv[sl])
+        gs = gs_buf[:es.shape[0]]
+        np.matmul(gz[sl], np.swapaxes(vf[sl], -1, -2), out=gs)
+        gs -= dot[sl]
+        gs *= es
+        np.matmul(gs, kf[sl], out=gq[sl])
+        np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
+    gq *= scale
+    gkt *= scale
+    gk = np.swapaxes(gkt, -1, -2)
+    return (out.reshape(q.shape), gq.reshape(q.shape), gk.reshape(k.shape),
+            gv.reshape(k.shape))
+
+
 def _truncated_normal(rng, shape, std=0.02):
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std

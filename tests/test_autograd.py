@@ -9,7 +9,7 @@ from peftlab import autograd as ag
 from peftlab.autograd import ShapeError, Tensor
 from peftlab.checks import TOLERANCE, check_gradients, random_tensor, run_suite
 
-from oracles import conv1d_loops, gelu_reference
+from oracles import attention_stored_exps, conv1d_loops, gelu_reference
 
 
 class TestMatmul:
@@ -480,6 +480,18 @@ class TestBatchAxis:
         assert trained._backward is not None and inferred._backward is None
         assert np.array_equal(inferred.data, trained.data)
 
+    @staticmethod
+    def _traced(fn):
+        """Run ``fn``; return (its result, bytes before, after, peak)."""
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = fn()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, before, after, peak
+
     def test_no_grad_attention_keeps_one_group_of_scores(self):
         B, A, L, d = 8, 4, 256, 8
         rng = np.random.default_rng(28)
@@ -488,14 +500,8 @@ class TestBatchAxis:
         group = max(1, ag.BLOCK // (L * L))
         group_bytes = min(group, A) * L * L * 8
         with ag.no_grad():
-            tracemalloc.start()
-            try:
-                before, _ = tracemalloc.get_traced_memory()
-                ag.attention(q, k, v, 0.5)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        # the scaled q and the output are q-sized; the scores take one group
+            _, before, _, peak = self._traced(lambda: ag.attention(q, k, v, 0.5))
+        # the output is q-sized; the scaled q and the scores take one group
         assert peak - before < 2 * q.data.nbytes + 2 * group_bytes
 
     def test_self_attention_on_one_tensor_sums_the_three_gradients(self):
@@ -507,21 +513,75 @@ class TestBatchAxis:
         _, gq, gk, gv = self._attention_run(x, x, x, g)
         assert np.allclose(shared.grad, gq + gk + gv, rtol=1e-13, atol=1e-15)
 
-    def test_training_attention_keeps_one_score_sized_array(self):
-        B, A, L, d = 2, 2, 96, 2
+    def test_training_attention_keeps_no_score_sized_array(self):
+        # desk-long's shape: one head per group, whose scores take 0.5 MiB,
+        # where the exps of all heads would take 16 MiB
+        B, A, L, d = 8, 4, 256, 8
         rng = np.random.default_rng(18)
         q, k, v = (Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
                    for _ in range(3))
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            out = ag.attention(q, k, v, 0.5)
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        score_bytes = B * A * L * L * 8
+        group_bytes = max(1, ag.BLOCK // (L * L)) * L * L * 8
+        out, before, _, peak = self._traced(lambda: ag.attention(q, k, v, 0.5))
         assert out._backward is not None
-        assert kept - before - out.data.nbytes < 2 * score_bytes
+        # the peak, and so what the call keeps: beyond the output, the row
+        # maxima and sums, one group of scaled q and one group of scores
+        assert peak - before - out.data.nbytes < 4 * q.data.nbytes + group_bytes
+
+    def test_attention_backward_holds_two_groups_of_scores(self):
+        B, A, L, d = 8, 4, 256, 8
+        rng = np.random.default_rng(29)
+        leaves = [Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
+                  for _ in range(3)]
+        # interior operands adopt their gradients, so the backward's own
+        # arrays are all that tracemalloc sees
+        q, k, v = (ag.scale(t, 1.0) for t in leaves)
+        out = ag.attention(q, k, v, 0.5)
+        g = rng.standard_normal((B, A, L, d))
+        group_bytes = max(1, ag.BLOCK // (L * L)) * L * L * 8
+        _, before, after, peak = self._traced(lambda: out._backward(g))
+        grads = [t._node.grad for t in (q, k, v)]
+        assert all(grad is not None and grad.nbytes == q.data.nbytes
+                   for grad in grads)
+        assert after - before >= sum(grad.nbytes for grad in grads)
+        # beyond the three gradients it hands on, the backward holds the
+        # recomputed exps and their gradient, each group-sized, and per-group
+        # temporaries (scaled q, dO / z, numpy's ufunc buffer) smaller than q
+        assert peak - after < 2 * group_bytes + q.data.nbytes
+
+    # the encoder's head-transposed views at L = 256 (one head per group),
+    # a whole row of heads per group, three heads per group of A = 5 with
+    # L ≠ L', the same on transposed views, and one head without leading axes
+    @pytest.mark.parametrize("q_shape, kv_shape, transposed", [
+        ((2, 4, 256, 8), (2, 4, 256, 8), True),
+        ((2, 4, 64, 8), (2, 4, 64, 8), False),
+        ((2, 5, 100, 4), (2, 5, 90, 4), False),
+        ((2, 5, 100, 4), (2, 5, 90, 4), True),
+        ((130, 4), (120, 4), False),
+    ])
+    @pytest.mark.parametrize("trains", [(True, True, True), (True, False, False),
+                                        (False, True, False),
+                                        (False, False, True)])
+    def test_attention_is_bitwise_the_stored_exps_oracle(
+            self, q_shape, kv_shape, transposed, trains):
+        rng = np.random.default_rng(30)
+
+        def draw(shape):  # [B, A, L, d], optionally a view of [B, L, A, d]
+            if not transposed:
+                return rng.standard_normal(shape)
+            b, a, n, d = shape
+            return rng.standard_normal((b, n, a, d)).transpose(0, 2, 1, 3)
+
+        q, k, v = draw(q_shape), draw(kv_shape), draw(kv_shape)
+        g = draw(q_shape)
+        scale = 1.0 / math.sqrt(q_shape[-1])
+        ts = [Tensor(a, requires_grad=r) for a, r in zip((q, k, v), trains)]
+        out = ag.attention(*ts, scale)
+        out.backward(g)
+        want = attention_stored_exps(q, k, v, g, scale)
+        assert np.array_equal(out.data, want[0])
+        for t, r, grad in zip(ts, trains, want[1:]):
+            assert (t.grad is not None) == r
+            assert not r or np.array_equal(t.grad, grad)
 
     def test_cross_entropy_batch_is_the_sum_of_rows(self):
         rng = np.random.default_rng(19)

@@ -12,7 +12,6 @@ from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import AFFINE_SPAN, FreezePolicy, desk_config
 from peftlab.manifest import (KNOWN_KEYS, ExperimentSpec, ManifestError,
                               parse_manifest)
-from peftlab.span import load_dataset
 from peftlab.trainer import TrainConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -460,7 +459,13 @@ class TestGenerateData:
         assert cli.main(args + ["--out", b]) == 0
         with open(a) as fa, open(b) as fb:
             assert fa.read() == fb.read()
-        assert len(load_dataset(a)) == 12
+        with open(a, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 12
+        for line in lines:  # token ids | segment ids | gold start gold end
+            toks, segs, gold = (field.split() for field in line.split("|"))
+            assert len(toks) == len(segs) == 24 and len(gold) == 2
+            assert all(t.isdigit() for t in toks + segs + gold)
 
     def test_defaults_are_the_manifest_dataset_defaults(self):
         args = cli.build_parser().parse_args(["generate-data", "--out", "x"])

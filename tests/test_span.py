@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peftlab.span import (SpanExample, SpanPrediction, decode_span,
-                          generate_dataset, load_dataset, save_dataset, score,
+                          generate_dataset, save_dataset, score,
                           _count_occurrences)
 
 from oracles import count_occurrences_loops, decode_span_enumeration
@@ -91,12 +91,13 @@ class TestGenerate:
                               unanswerable_fraction=0.25)
         path = tmp_path / "data.txt"
         save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert len(loaded) == len(ds)
-        for a, b in zip(ds, loaded):
-            assert np.array_equal(a.tokens, b.tokens)
-            assert np.array_equal(a.segments, b.segments)
-            assert a.gold_span == b.gold_span
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(ds)
+        for ex, line in zip(ds, lines):
+            toks, segs, gold = line.split("|")
+            assert np.array_equal([int(t) for t in toks.split()], ex.tokens)
+            assert np.array_equal([int(t) for t in segs.split()], ex.segments)
+            assert tuple(int(t) for t in gold.split()) == ex.gold_span
 
 
 class TestDecode:
