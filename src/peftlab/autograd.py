@@ -427,32 +427,22 @@ def split(x, sizes, axis=0):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """[..., M, K] @ [K, N] (a shared weight) or [..., M, K] @ [..., K, N]."""
+    """[..., M, K] @ [K, N]: a 2-D weight shared by every leading row."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (a.data.ndim < 2 or b.data.ndim < 2
-            or a.data.shape[-1] != b.data.shape[-2]
-            or b.data.ndim > 2 and a.data.shape[:-2] != b.data.shape[:-2]):
+    if (a.data.ndim < 2 or b.data.ndim != 2
+            or a.data.shape[-1] != b.data.shape[0]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    k = a.data.shape[-1]
-    shared = b.data.ndim == 2
-    if shared:  # one gemm over every leading row
-        n = b.data.shape[1]
-        data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
-    else:
-        data = a.data @ b.data
+    k, n = b.data.shape
+    data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
     va, vb = _vertex(a), _vertex(b)
     a_data = a.data if vb is not None else None  # b's gradient reads a
     b_data = b.data if va is not None else None  # a's gradient reads b
 
     def backward(g):
         if _needs_grad(va):
-            _accumulate(va, g @ np.swapaxes(b_data, -1, -2))
-        if not _needs_grad(vb):
-            return
-        if shared:
+            _accumulate(va, g @ b_data.T)
+        if _needs_grad(vb):
             _accumulate(vb, a_data.reshape(-1, k).T @ g.reshape(-1, n))
-        else:
-            _accumulate(vb, np.swapaxes(a_data, -1, -2) @ g)
 
     return _node(data, (va, vb), backward)
 

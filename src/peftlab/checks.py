@@ -120,9 +120,6 @@ def _op_checks(rng):
     # leading batch axes; drawn last so the checks above keep their inputs
     a3 = random_tensor(rng, (2, 3, 4))
     yield "matmul_3d_shared", lambda: ag.matmul(a3, b), [a3, b]
-    a4 = random_tensor(rng, (2, 2, 3, 4))
-    b4 = random_tensor(rng, (2, 2, 4, 2))
-    yield "matmul_4d", lambda: ag.matmul(a4, b4), [a4, b4]
 
     q, k, v = (random_tensor(rng, (2, 2, 3, 2)) for _ in range(3))
     yield "attention", lambda: ag.attention(q, k, v, 0.7), [q, k, v]

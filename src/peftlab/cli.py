@@ -12,7 +12,7 @@ import sys
 
 from . import accounting, checks
 from .manifest import ExperimentSpec, ManifestError, parse_manifest
-from .span import GenerationError, generate_dataset, save_dataset
+from .span import generate_dataset, save_dataset
 from .trainer import (TrainingDiverged, build_model, efficiency_ratio,
                       evaluate, save_loss_history, train)
 
@@ -100,24 +100,26 @@ def cmd_run(args):
         for spec in todo:
             existing[spec.label] = _run_experiment(spec, out_dir)
             _write_report(report_path, specs, existing)
-    except (GenerationError, OSError) as exc:
+    except OSError as exc:
         return _fail(EXIT_VALIDATION, exc)
     except TrainingDiverged as exc:
         return _fail(EXIT_RUNTIME, exc)
 
-    print(f"wrote {report_path} ({len(specs)} rows, {len(todo)} new)")
+    print(f"wrote {report_path} ({len(existing)} rows, {len(todo)} new)")
     return EXIT_OK
 
 
 def _write_report(path, specs, rows):
-    """Atomically write the finished rows in manifest order."""
+    """Atomically write every row: the manifest's in manifest order, then
+    the other rows already in the report, in file order."""
+    rank = {spec.label: i for i, spec in enumerate(specs)}
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for spec in specs:
-            if spec.label in rows:
-                writer.writerow(rows[spec.label])
+        # a stable sort: rows is in file order, new labels come last
+        for label in sorted(rows, key=lambda l: rank.get(l, len(rank))):
+            writer.writerow(rows[label])
     os.replace(tmp, path)
 
 
@@ -189,7 +191,7 @@ def cmd_generate_data(args):
             unanswerable_fraction=args.unanswerable_fraction,
         )
         save_dataset(examples, args.out)
-    except (ValueError, GenerationError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(EXIT_VALIDATION, exc)
     print(f"wrote {len(examples)} examples to {args.out}")
     return EXIT_OK

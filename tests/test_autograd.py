@@ -25,6 +25,12 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    @pytest.mark.parametrize("lead", [(2,), (2, 2)])
+    def test_weight_must_be_2d(self, lead):
+        with pytest.raises(ShapeError, match="matmul: incompatible shapes"):
+            ag.matmul(Tensor(np.zeros(lead + (3, 4))),
+                      Tensor(np.zeros(lead + (4, 5))))
+
     def test_gradient(self):
         rng = np.random.default_rng(0)
         a, b = random_tensor(rng, (3, 4)), random_tensor(rng, (4, 2))

@@ -231,6 +231,23 @@ class TestRun:
         assert [r["label"] for r in again] == ["tiny-full", "tiny-frozen"]
         assert again[0] == kept
 
+    def test_rows_of_another_manifest_are_kept(self, tmp_path):
+        first = write_manifest(tmp_path, "[a]\ndataset_count = 8\n"
+                               "dataset_len = 24\nepochs = 1\n", "a.cfg")
+        second = write_manifest(tmp_path, "[b]\nlayers_trainable = 0\n"
+                                "dataset_count = 8\ndataset_len = 24\n"
+                                "epochs = 1\n", "b.cfg")
+        out = str(tmp_path / "out")
+        report = os.path.join(out, "report.csv")
+        assert cli.main(["run", "--manifest", first, "--out", out]) == 0
+        with open(report, newline="") as fh:
+            row_a, = csv.DictReader(fh)
+        assert cli.main(["run", "--manifest", second, "--out", out]) == 0
+        with open(report, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == ["b", "a"]
+        assert rows[1] == row_a
+
     def test_foreign_report_exits_1_and_is_kept(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
