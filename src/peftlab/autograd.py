@@ -16,7 +16,7 @@ only if ``b`` needs a gradient and ``b`` only if ``a`` does; add, scale,
 reshape, transpose, concat and split keep only shapes; layer_norm keeps the
 normalised input, not the input; attention keeps no score-sized array,
 only q, k, v (v only if q or k needs a gradient), its output and two row
-statistics of shape [..., L, 1], and its backward recomputes the exps group
+statistics per head and query, and its backward recomputes the exps group
 by group, bit for bit, so q, k and v must not change between the forward
 and the backward. An activation is therefore freed as soon as the forward
 code drops it, unless some backward reads it. Because the choice
@@ -37,8 +37,8 @@ array.
 Every op takes optional leading batch axes, so one graph serves a whole
 mini-batch: a single example is a batch with no leading axis. Only the
 operations the encoder, adapter, and convolutional heads need are provided,
-plus softmax (see the note above it); there is no general broadcasting
-beyond what those layers use.
+plus softmax and transpose, which no model calls (they stay for the bench
+tracer and gradcheck); no op broadcasts beyond what those layers use.
 """
 
 from __future__ import annotations
@@ -466,45 +466,45 @@ def softmax(x, axis):
     return _node(y, (vx,), backward)
 
 
-def attention(q, k, v, scale):
-    """Scaled dot-product attention, softmax(q @ kᵀ * scale) @ v.
+def attention(q, k, v, num_heads, scale):
+    """Multi-head scaled dot-product attention, softmax(q @ kᵀ * scale) @ v.
 
-    q is [..., L, d]; k and v are [..., L', d] with the same leading axes
-    (for multi-head attention, [B, A, L, d]). The heads are walked in groups
-    of max(1, BLOCK // (L·L')), so one group's scores stay in cache; a group
-    never spans two indices of the axes before the last leading one, so every
-    group of q, k and v is a view, also of the encoder's head-transposed
-    arrays. Per group, ``scale`` is applied to q, not to the scores, and the
-    scores fill one group-sized buffer that every group reuses: shifted by
-    their row max m and exponentiated to e = exp(s − m), they give one row
-    sum z per query and the output (e @ v) / z, so the probabilities e / z
-    are never formed. A recorded op keeps no score-sized array, only q, k,
-    v, the output, m and z. Its backward walks the same groups and
-    recomputes each group's exps with the same numpy calls on the same
-    operands, so bit for bit; q, k and v must therefore not change between
-    the forward and the backward. The softmax correction rowsum(dP∘P) is
-    taken as rowsum(dO∘O) on [..., L, d] (Dao et al. 2022, FlashAttention).
-    Each head's arithmetic, and so its result, is the same at every group
-    size.
+    q is [..., L, H]; k and v are [..., L', H] with the same leading axes,
+    N rows in all. Each is split into A = ``num_heads`` heads as the view
+    [N, A, L, d] of [N, L, A, d] (Vaswani et al. 2017), and the output and
+    the gradients are written through such views, so nothing is copied
+    between layouts. The heads are walked in groups of max(1, BLOCK //
+    (L·L')), so one group's scores stay in cache; a group never spans two
+    leading rows, so every group of q, k and v is a view. Per group,
+    ``scale`` is applied to q, not to the scores, and the scores fill one
+    group-sized buffer that every group reuses: shifted by their row max m
+    and exponentiated to e = exp(s − m), they give one row sum z per query
+    and the output (e @ v) / z, so the probabilities e / z are never
+    formed. A recorded op keeps no score-sized array, only q, k, v, the
+    output, m and z. Its backward walks the same groups and recomputes each
+    group's exps with the same numpy calls on the same operands, so bit for
+    bit; q, k and v must therefore not change between the forward and the
+    backward. The softmax correction rowsum(dP∘P) is taken as rowsum(dO∘O)
+    per head (Dao et al. 2022, FlashAttention). Each head's arithmetic, and
+    so its result, is the same at every group size.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.data.ndim < 2 or k.data.shape != v.data.shape
             or q.data.shape[:-2] != k.data.shape[:-2]
-            or q.data.shape[-1] != k.data.shape[-1]):
-        raise ShapeError(
-            f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
-    scale = float(scale)
-    L, d = q.data.shape[-2:]
-    Lk = k.data.shape[-2]
+            or q.data.shape[-1] != k.data.shape[-1]
+            or num_heads < 1 or q.data.shape[-1] % num_heads):
+        raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, "
+                         f"v {v.shape} for {num_heads} heads")
+    (L, H), Lk, A = q.data.shape[-2:], k.data.shape[-2], int(num_heads)
+    d, scale = H // A, float(scale)
     group = max(1, BLOCK // max(1, L * Lk))
 
-    def heads(a):  # [..., A, L, d] -> [N, A, L, d]
-        a = a[(None,) * max(0, 3 - a.ndim)]
-        return a.reshape((-1,) + a.shape[-3:])
+    def heads(a):  # [..., L, H] -> [N, A, L, d], a view of [N, L, A, d]
+        return np.swapaxes(a.reshape(-1, a.shape[-2], A, d), 1, 2)
 
     vq, vk, vv = _vertex(q), _vertex(k), _vertex(v)
     qf, kf, vf = heads(q.data), heads(k.data), heads(v.data)
-    N, A = qf.shape[:2]
+    N = qf.shape[0]
     slices = [(b, slice(lo, lo + group))
               for b in range(N) for lo in range(0, A, group)]
 
@@ -515,14 +515,15 @@ def attention(q, k, v, scale):
     n = min(group, A)
     qs, s_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
     m, z = np.empty((N, A, L, 1)), np.empty((N, A, L, 1))
-    out = np.empty((N, A, L, d))
+    out = heads(np.empty(q.data.shape))
     for sl in slices:
         s = scores(sl, qs, s_buf)
         s -= s.max(axis=-1, keepdims=True, out=m[sl])
         np.exp(s, out=s)
         s.sum(axis=-1, keepdims=True, out=z[sl])
         np.matmul(s, vf[sl], out=out[sl])
-    out /= z
+    rows = np.swapaxes(out, 1, 2)  # memory order, so no ufunc buffering
+    rows /= np.swapaxes(z, 1, 2)
     q_shape, kv_shape = q.data.shape, k.data.shape
     # every gradient reads the exps, so q and k are kept to recompute them;
     # q's and k's gradients also read v and the output
@@ -531,9 +532,11 @@ def attention(q, k, v, scale):
 
     def backward(g):
         g = heads(g)
-        gq = np.empty((N, A, L, d)) if _needs_grad(vq) else None
+        gq = heads(np.empty(q_shape)) if _needs_grad(vq) else None
+        # k's gradient is made transposed, as [N, A, d, L']; taken directly
+        # as gsᵀ @ q, it would round differently
         gkt = np.empty((N, A, d, Lk)) if _needs_grad(vk) else None
-        gv = np.empty((N, A, Lk, d)) if _needs_grad(vv) else None
+        gv = heads(np.empty(kv_shape)) if _needs_grad(vv) else None
         qs, e_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
         if gq is not None or gkt is not None:
             gs_buf = np.empty((n, L, Lk))
@@ -558,15 +561,13 @@ def attention(q, k, v, scale):
         for grad in (gq, gkt):
             if grad is not None:
                 grad *= scale
-        # k's gradient is made transposed, as [..., d, L']: its swapped view
-        # then reshapes to the encoder's [..., L', H] layout without a copy
         gk = None if gkt is None else np.swapaxes(gkt, -1, -2)
         for vt, grad, shape in ((vq, gq, q_shape), (vk, gk, kv_shape),
                                 (vv, gv, kv_shape)):
-            if grad is not None:
-                _accumulate(vt, grad.reshape(shape))
+            if grad is not None:  # [N, L, A, d] reshapes without a copy
+                _accumulate(vt, np.swapaxes(grad, 1, 2).reshape(shape))
 
-    return _node(out.reshape(q_shape), (vq, vk, vv), backward)
+    return _node(rows.reshape(q_shape), (vq, vk, vv), backward)
 
 
 def layer_norm(x, gain, bias):

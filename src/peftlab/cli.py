@@ -68,13 +68,19 @@ def _run_experiment(spec, out_dir):
                       os.path.join(out_dir, f"loss_{spec.label}.csv"))
 
     em, f1 = round(em, 1), round(f1, 1)
-    trainable = model.registry.trainable_count
-    ratio = efficiency_ratio(f1, trainable)
-    adapter_size = config.adapter.adapter_size if config.adapter else ""
-    return [spec.label, spec.policy.top_layers_trainable, adapter_size,
-            trainable, f"{em:.1f}", f"{f1:.1f}",
+    model_columns = _model_columns(spec)
+    ratio = efficiency_ratio(f1, model_columns[-1])
+    return [spec.label, *model_columns, f"{em:.1f}", f"{f1:.1f}",
             f"{result.train_seconds:.3f}", f"{infer_seconds:.3f}",
             f"{ratio:.4f}"]
+
+
+def _model_columns(spec):
+    """layers_trained, adapter_size, trainable_params: a row's model."""
+    config = spec.encoder_config
+    return [spec.policy.top_layers_trainable,
+            config.adapter.adapter_size if config.adapter else "",
+            accounting.count(config, spec.policy, spec.head).trainable_under_policy]
 
 
 def cmd_run(args):
@@ -87,6 +93,14 @@ def cmd_run(args):
         if os.path.exists(report_path):
             for row in _read_report(report_path, REPORT_COLUMNS):
                 existing[row["label"]] = [row[c] for c in REPORT_COLUMNS]
+        # a row of another model must not pass for a spec's result
+        for spec in [s for s in specs if s.label in existing]:
+            row = dict(zip(REPORT_COLUMNS, existing[spec.label]))
+            for column, want in zip(REPORT_COLUMNS[1:4], _model_columns(spec)):
+                if row[column] != str(want):
+                    raise ValueError(
+                        f"{report_path}: row {spec.label!r} has {column} "
+                        f"{row[column]!r}, but [{spec.label}] gives {want!r}")
     except (ValueError, OSError) as exc:  # ManifestError is a ValueError
         return _fail(EXIT_VALIDATION, exc)
 

@@ -60,10 +60,6 @@ class EncoderConfig:
                 f"num_heads {self.num_heads}"
             )
 
-    @property
-    def head_dim(self):
-        return self.hidden_size // self.num_heads
-
 
 def desk_config(num_layers=2, adapter=None):
     return EncoderConfig(
@@ -251,25 +247,14 @@ def _adapter(reg, prefix, z):
     return ag.add(z, up)
 
 
-def _swap_head_axes(x):
-    """[..., L, A, Hd] <-> [..., A, L, Hd]."""
-    axes = list(range(x.data.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return ag.transpose(x, axes)
-
-
 def _attention(reg, config, prefix, x):
-    """Multi-head self-attention over x [..., L, H], heads as one batch axis."""
-    A, Hd = config.num_heads, config.head_dim
-    lead = x.shape[:-1]
+    """Multi-head self-attention over x [..., L, H]."""
+    def proj(name):
+        return ag.add(ag.matmul(x, reg[f"{prefix}.{name}_w"]), reg[f"{prefix}.{name}_b"])
 
-    def heads(proj):
-        y = ag.add(ag.matmul(x, reg[f"{prefix}.{proj}_w"]), reg[f"{prefix}.{proj}_b"])
-        return _swap_head_axes(ag.reshape(y, lead + (A, Hd)))
-
-    ctx = ag.attention(heads("q"), heads("k"), heads("v"), 1.0 / math.sqrt(Hd))
-    out = ag.reshape(_swap_head_axes(ctx), lead + (config.hidden_size,))
-    return ag.add(ag.matmul(out, reg[f"{prefix}.o_w"]), reg[f"{prefix}.o_b"])
+    scale = 1.0 / math.sqrt(config.hidden_size // config.num_heads)
+    ctx = ag.attention(proj("q"), proj("k"), proj("v"), config.num_heads, scale)
+    return ag.add(ag.matmul(ctx, reg[f"{prefix}.o_w"]), reg[f"{prefix}.o_b"])
 
 
 def forward(registry, config, tokens, segments):

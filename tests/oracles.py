@@ -115,8 +115,12 @@ def attention_stored_exps(q, k, v, g, scale, block=1 << 15):
     The fused op as it was before its backward recomputed the exps: the
     forward scales the whole q, keeps e = exp(s − rowmax s) for all heads
     [N, A, L, L'] and walks the heads in groups of max(1, block // (L·L'));
-    the backward reads the stored exps. q, k, v and g are [..., L, d]
-    arrays as ``autograd.attention`` takes them. Returns (out, gq, gk, gv).
+    the backward reads the stored exps. q, k, v and g are per-head arrays
+    [..., A, L, d] (k and v [..., A, L', d]), as the op took them before it
+    split its own heads; pass the head views of ``autograd.attention``'s
+    [..., L, H] operands, np.swapaxes(x.reshape(..., L, A, d), -3, -2), and
+    compare the results through the same views. Returns (out, gq, gk, gv),
+    each shaped like the operand it belongs to.
     """
     L, d = q.shape[-2:]
     Lk = k.shape[-2]

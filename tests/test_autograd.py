@@ -418,71 +418,71 @@ class TestBatchAxis:
                       "same")
 
     def test_attention_equals_the_unfused_chain(self):
-        # (2, 3, 130, 4) has one head per group, so six groups
+        # [2, 130, 12] with 3 heads has one head per group, so six groups
         rng = np.random.default_rng(17)
-        for shape in ((2, 3, 5, 4), (2, 3, 130, 4)):
+        for shape in ((2, 5, 12), (2, 130, 12)):
             q, k, v = (rng.standard_normal(shape) for _ in range(3))
             g = rng.standard_normal(shape)
             fused = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-            out = ag.attention(*fused, 0.5)
+            out = ag.attention(*fused, 3, 0.5)
             out.backward(g)
             for b in range(shape[0]):
-                for h in range(shape[1]):
-                    qh, kh, vh = (Tensor(a[b, h], requires_grad=True)
+                for h in range(3):
+                    cols = slice(4 * h, 4 * h + 4)
+                    qh, kh, vh = (Tensor(a[b, :, cols], requires_grad=True)
                                   for a in (q, k, v))
                     scores = ag.scale(ag.matmul(qh, ag.transpose(kh)), 0.5)
                     ref = ag.matmul(ag.softmax(scores, 1), vh)
-                    ref.backward(g[b, h])
-                    assert np.allclose(out.data[b, h], ref.data, rtol=1e-12,
-                                       atol=1e-14)
+                    ref.backward(g[b, :, cols])
+                    assert np.allclose(out.data[b, :, cols], ref.data,
+                                       rtol=1e-12, atol=1e-14)
                     for t, ref in zip(fused, (qh, kh, vh)):
-                        assert np.allclose(t.grad[b, h], ref.grad,
+                        assert np.allclose(t.grad[b, :, cols], ref.grad,
                                            rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("num_heads", [0, -1, 5])
+    def test_attention_rejects_a_head_count_that_does_not_split_the_width(
+            self, num_heads):
+        q = Tensor(np.zeros((2, 3, 12)))
+        with pytest.raises(ShapeError, match="heads"):
+            ag.attention(q, q, q, num_heads, 0.5)
+
     @staticmethod
-    def _attention_run(q, k, v, g):
+    def _attention_run(q, k, v, g, num_heads):
         ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-        out = ag.attention(*ts, 0.3)
+        out = ag.attention(*ts, num_heads, 0.3)
         out.backward(g)
         return [out.data] + [t.grad for t in ts]
 
-    # group sizes at the default BLOCK: 1310 (one group per row of A = 3
-    # heads), 3 (which divides neither A = 5 nor B·A = 10), the same on the
-    # encoder's head-transposed views, 2 (of A = 3), and 2 for a single head
-    # without leading axes
-    @pytest.mark.parametrize("q_shape, kv_shape, transposed", [
-        ((2, 3, 5, 4), (2, 3, 5, 4), False),
-        ((2, 5, 100, 4), (2, 5, 90, 4), False),
-        ((2, 5, 100, 4), (2, 5, 90, 4), True),
-        ((3, 120, 2), (3, 100, 2), False),
-        ((130, 4), (120, 4), False),
+    # group sizes at the default BLOCK: 1310 (one group per row of 3 heads),
+    # 3 (which divides neither A = 5 nor B·A = 10), 2 (of A = 3), and 2 for
+    # a single head without leading axes
+    @pytest.mark.parametrize("q_shape, kv_shape, num_heads", [
+        ((2, 5, 12), (2, 5, 12), 3),
+        ((2, 100, 20), (2, 90, 20), 5),
+        ((120, 6), (100, 6), 3),
+        ((130, 4), (120, 4), 1),
     ])
     def test_attention_is_bitwise_the_same_at_every_group_size(
-            self, monkeypatch, q_shape, kv_shape, transposed):
+            self, monkeypatch, q_shape, kv_shape, num_heads):
         rng = np.random.default_rng(20)
-
-        def draw(shape):  # [B, A, L, d], optionally a view of [B, L, A, d]
-            if not transposed:
-                return rng.standard_normal(shape)
-            b, a, n, d = shape
-            return rng.standard_normal((b, n, a, d)).transpose(0, 2, 1, 3)
-
-        q = draw(q_shape)
-        k, v = draw(kv_shape), draw(kv_shape)
-        g = draw(q_shape)
-        default = self._attention_run(q, k, v, g)
+        q = rng.standard_normal(q_shape)
+        k, v = rng.standard_normal(kv_shape), rng.standard_normal(kv_shape)
+        g = rng.standard_normal(q_shape)
+        default = self._attention_run(q, k, v, g, num_heads)
         for block in (16, 2 ** 40):
             monkeypatch.setattr(ag, "BLOCK", block)
-            for got, want in zip(self._attention_run(q, k, v, g), default):
+            for got, want in zip(self._attention_run(q, k, v, g, num_heads),
+                                 default):
                 assert np.array_equal(got, want)
 
     def test_no_grad_attention_equals_the_training_forward(self):
         rng = np.random.default_rng(21)
-        q, k, v = (Tensor(rng.standard_normal((2, 3, 70, 4)),
+        q, k, v = (Tensor(rng.standard_normal((2, 70, 12)),
                           requires_grad=True) for _ in range(3))
-        trained = ag.attention(q, k, v, 0.5)
+        trained = ag.attention(q, k, v, 3, 0.5)
         with ag.no_grad():
-            inferred = ag.attention(q, k, v, 0.5)
+            inferred = ag.attention(q, k, v, 3, 0.5)
         assert trained._backward is not None and inferred._backward is None
         assert np.array_equal(inferred.data, trained.data)
 
@@ -501,22 +501,23 @@ class TestBatchAxis:
     def test_no_grad_attention_keeps_one_group_of_scores(self):
         B, A, L, d = 8, 4, 256, 8
         rng = np.random.default_rng(28)
-        q, k, v = (Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
+        q, k, v = (Tensor(rng.standard_normal((B, L, A * d)), requires_grad=True)
                    for _ in range(3))
         group = max(1, ag.BLOCK // (L * L))
         group_bytes = min(group, A) * L * L * 8
         with ag.no_grad():
-            _, before, _, peak = self._traced(lambda: ag.attention(q, k, v, 0.5))
+            _, before, _, peak = self._traced(
+                lambda: ag.attention(q, k, v, A, 0.5))
         # the output is q-sized; the scaled q and the scores take one group
         assert peak - before < 2 * q.data.nbytes + 2 * group_bytes
 
     def test_self_attention_on_one_tensor_sums_the_three_gradients(self):
         rng = np.random.default_rng(22)
-        x = rng.standard_normal((2, 2, 6, 3))
-        g = rng.standard_normal((2, 2, 6, 3))
+        x = rng.standard_normal((2, 6, 6))
+        g = rng.standard_normal((2, 6, 6))
         shared = Tensor(x, requires_grad=True)
-        ag.attention(shared, shared, shared, 0.3).backward(g)
-        _, gq, gk, gv = self._attention_run(x, x, x, g)
+        ag.attention(shared, shared, shared, 2, 0.3).backward(g)
+        _, gq, gk, gv = self._attention_run(x, x, x, g, 2)
         assert np.allclose(shared.grad, gq + gk + gv, rtol=1e-13, atol=1e-15)
 
     def test_training_attention_keeps_no_score_sized_array(self):
@@ -524,10 +525,11 @@ class TestBatchAxis:
         # where the exps of all heads would take 16 MiB
         B, A, L, d = 8, 4, 256, 8
         rng = np.random.default_rng(18)
-        q, k, v = (Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
+        q, k, v = (Tensor(rng.standard_normal((B, L, A * d)), requires_grad=True)
                    for _ in range(3))
         group_bytes = max(1, ag.BLOCK // (L * L)) * L * L * 8
-        out, before, _, peak = self._traced(lambda: ag.attention(q, k, v, 0.5))
+        out, before, _, peak = self._traced(
+            lambda: ag.attention(q, k, v, A, 0.5))
         assert out._backward is not None
         # the peak, and so what the call keeps: beyond the output, the row
         # maxima and sums, one group of scaled q and one group of scores
@@ -536,58 +538,58 @@ class TestBatchAxis:
     def test_attention_backward_holds_two_groups_of_scores(self):
         B, A, L, d = 8, 4, 256, 8
         rng = np.random.default_rng(29)
-        leaves = [Tensor(rng.standard_normal((B, A, L, d)), requires_grad=True)
+        leaves = [Tensor(rng.standard_normal((B, L, A * d)), requires_grad=True)
                   for _ in range(3)]
         # interior operands adopt their gradients, so the backward's own
         # arrays are all that tracemalloc sees
         q, k, v = (ag.scale(t, 1.0) for t in leaves)
-        out = ag.attention(q, k, v, 0.5)
-        g = rng.standard_normal((B, A, L, d))
+        out = ag.attention(q, k, v, A, 0.5)
+        g = rng.standard_normal((B, L, A * d))
         group_bytes = max(1, ag.BLOCK // (L * L)) * L * L * 8
         _, before, after, peak = self._traced(lambda: out._backward(g))
         grads = [t._node.grad for t in (q, k, v)]
-        assert all(grad is not None and grad.nbytes == q.data.nbytes
-                   for grad in grads)
+        assert all(grad is not None and grad.shape == q.shape
+                   and grad.nbytes == q.data.nbytes for grad in grads)
         assert after - before >= sum(grad.nbytes for grad in grads)
         # beyond the three gradients it hands on, the backward holds the
         # recomputed exps and their gradient, each group-sized, and per-group
         # temporaries (scaled q, dO / z, numpy's ufunc buffer) smaller than q
         assert peak - after < 2 * group_bytes + q.data.nbytes
 
-    # the encoder's head-transposed views at L = 256 (one head per group),
-    # a whole row of heads per group, three heads per group of A = 5 with
-    # L ≠ L', the same on transposed views, and one head without leading axes
-    @pytest.mark.parametrize("q_shape, kv_shape, transposed", [
-        ((2, 4, 256, 8), (2, 4, 256, 8), True),
-        ((2, 4, 64, 8), (2, 4, 64, 8), False),
-        ((2, 5, 100, 4), (2, 5, 90, 4), False),
-        ((2, 5, 100, 4), (2, 5, 90, 4), True),
-        ((130, 4), (120, 4), False),
+    # desk-long's shape at L = 256 (one head per group), a whole row of
+    # heads per group, three heads per group of A = 5 with L ≠ L', one head
+    # without leading axes, and BERT-base's heads of width 64 at L = 128
+    @pytest.mark.parametrize("q_shape, kv_shape, num_heads", [
+        ((2, 256, 32), (2, 256, 32), 4),
+        ((2, 64, 32), (2, 64, 32), 4),
+        ((2, 100, 20), (2, 90, 20), 5),
+        ((130, 4), (120, 4), 1),
+        ((2, 128, 768), (2, 128, 768), 12),
     ])
     @pytest.mark.parametrize("trains", [(True, True, True), (True, False, False),
                                         (False, True, False),
                                         (False, False, True)])
     def test_attention_is_bitwise_the_stored_exps_oracle(
-            self, q_shape, kv_shape, transposed, trains):
+            self, q_shape, kv_shape, num_heads, trains):
         rng = np.random.default_rng(30)
-
-        def draw(shape):  # [B, A, L, d], optionally a view of [B, L, A, d]
-            if not transposed:
-                return rng.standard_normal(shape)
-            b, a, n, d = shape
-            return rng.standard_normal((b, n, a, d)).transpose(0, 2, 1, 3)
-
-        q, k, v = draw(q_shape), draw(kv_shape), draw(kv_shape)
-        g = draw(q_shape)
-        scale = 1.0 / math.sqrt(q_shape[-1])
+        q = rng.standard_normal(q_shape)
+        k, v = rng.standard_normal(kv_shape), rng.standard_normal(kv_shape)
+        g = rng.standard_normal(q_shape)
+        d = q_shape[-1] // num_heads
+        scale = 1.0 / math.sqrt(d)
         ts = [Tensor(a, requires_grad=r) for a, r in zip((q, k, v), trains)]
-        out = ag.attention(*ts, scale)
+        out = ag.attention(*ts, num_heads, scale)
         out.backward(g)
-        want = attention_stored_exps(q, k, v, g, scale)
-        assert np.array_equal(out.data, want[0])
+
+        def heads(a):  # [..., L, H] -> the per-head view [..., A, L, d]
+            return np.swapaxes(a.reshape(a.shape[:-1] + (num_heads, d)), -3, -2)
+
+        want = attention_stored_exps(heads(q), heads(k), heads(v), heads(g),
+                                     scale)
+        assert np.array_equal(heads(out.data), want[0])
         for t, r, grad in zip(ts, trains, want[1:]):
             assert (t.grad is not None) == r
-            assert not r or np.array_equal(t.grad, grad)
+            assert not r or np.array_equal(heads(t.grad), grad)
 
     def test_cross_entropy_batch_is_the_sum_of_rows(self):
         rng = np.random.default_rng(19)

@@ -197,7 +197,9 @@ class TestBatchAxis:
                for n in ag._toposort(loss) if n._backward is not None]
         assert ops.count("attention") == cfg.num_layers
         assert ops.count("split") == 2      # the head's start/end columns
+        assert ops.count("reshape") == 2    # ... read out as [B, L] each
         assert "concat" not in ops and "softmax" not in ops
+        assert "transpose" not in ops       # attention splits its own heads
 
 
 CACNN_VARIANTS = [

@@ -248,6 +248,44 @@ class TestRun:
         assert [r["label"] for r in rows] == ["b", "a"]
         assert rows[1] == row_a
 
+    # each change keeps the label but builds another model; the first
+    # column it changes is the one named
+    @pytest.mark.parametrize("change, column", [
+        ("layers_trainable = 0", "layers_trained"),
+        ("adapter_size = 8", "adapter_size"),
+        ("head = cacnn\nw_c = 3\nm = 4", "trainable_params"),
+    ], ids=["layers", "adapter", "head"])
+    def test_row_of_another_model_under_the_label_exits_1(
+            self, tmp_path, capsys, monkeypatch, change, column):
+        section = "[x]\ndataset_count = 8\ndataset_len = 24\nepochs = 1\n"
+        first = write_manifest(tmp_path, section, "a.cfg")
+        second = write_manifest(tmp_path, section + change + "\n", "b.cfg")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--manifest", first, "--out", str(out)]) == 0
+        before = (out / "report.csv").read_bytes()
+        ran = []
+        monkeypatch.setattr(cli, "_run_experiment",
+                            lambda spec, out_dir: ran.append(spec.label))
+        capsys.readouterr()
+        code = cli.main(["run", "--manifest", second, "--out", str(out)])
+        assert code == 1 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'x'" in err
+        assert f" has {column} " in err
+        assert (out / "report.csv").read_bytes() == before
+
+    def test_row_that_differs_only_in_training_keys_resumes(self, tmp_path,
+                                                           capsys):
+        section = "[x]\ndataset_count = 8\ndataset_len = 24\nepochs = 1\n"
+        first = write_manifest(tmp_path, section, "a.cfg")
+        second = write_manifest(tmp_path, section + "seed = 5\nlearning_rate = 0.01\n",
+                                "b.cfg")
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--manifest", first, "--out", out]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", "--manifest", second, "--out", out]) == 0
+        assert "already in" in capsys.readouterr().out
+
     def test_foreign_report_exits_1_and_is_kept(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
