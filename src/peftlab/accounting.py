@@ -120,8 +120,13 @@ def table_report(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for label, config, policy, rep in reports:
-        adapter_size = config.adapter.adapter_size if config.adapter else ""
-        writer.writerow([label, policy.top_layers_trainable, adapter_size,
-                         rep.trainable_under_policy, "", "", "", ""])
+    for label, config, policy, head in rows:
+        writer.writerow([label, *model_columns(config, policy, head)] + [""] * 4)
     return text, buf.getvalue(), reports
+
+
+def model_columns(config, policy, head=AFFINE_SPAN):
+    """A row's layers_trained, adapter_size and trainable_params."""
+    return [policy.top_layers_trainable,
+            config.adapter.adapter_size if config.adapter else "",
+            count(config, policy, head).trainable_under_policy]

@@ -26,19 +26,21 @@ leaf that was frozen during the forward gets none either.
 
 Backward computes only gradients that are kept: an op skips every operand
 that needs no gradient, so frozen weights cost no weight-gradient work. A
-node adopts the gradient array it is handed, and several nodes may share one
-array. That is safe because no op mutates a gradient in place; accumulation
-always builds a new array. Each node drops its gradient once its backward
-has run, so after ``backward()`` only leaves hold gradients (an output
-Tensor's own ``.grad`` stays None). Leaves (and the root's explicit output
-gradient) take a private copy, so a leaf's ``.grad`` never aliases another
-array.
+node or a leaf adopts the first gradient array it is handed, and several
+may share one (``add(a, b)`` hands ``a`` and ``b`` the same array), so
+``.grad`` arrays are read-only: no op mutates a gradient in place, and
+accumulation always builds a new array. Only the root's explicit output
+gradient is copied, because the caller keeps it. Each node drops its
+gradient once its backward has run, so after ``backward()`` only leaves hold
+gradients (an output Tensor's own ``.grad`` stays None).
 
 Every op takes optional leading batch axes, so one graph serves a whole
-mini-batch: a single example is a batch with no leading axis. Only the
-operations the encoder, adapter, and convolutional heads need are provided,
-plus softmax and transpose, which no model calls (they stay for the bench
-tracer and gradcheck); no op broadcasts beyond what those layers use.
+mini-batch: a single example is a batch with no leading axis. ``add``
+broadcasts over leading axes only, so one operand's shape must end the
+other's (a bias [N], a position table [L, H]). Only the operations the
+encoder, adapter, and convolutional heads need are provided, plus softmax
+and transpose, which no model calls (they stay for the bench tracer and
+gradcheck).
 """
 
 from __future__ import annotations
@@ -131,13 +133,6 @@ class Tensor:
     def _backward(self):
         return None if self._node is None else self._node._backward
 
-    @_backward.setter
-    def _backward(self, backward):
-        if self._node is None:  # an unrecorded tensor becomes a parentless node
-            self._node = _Node((), backward)
-        else:
-            self._node._backward = backward
-
     @property
     def shape(self):
         return self.data.shape
@@ -219,14 +214,8 @@ def _needs_grad(vertex):
 
 
 def _accumulate(vertex, grad):
-    if not vertex.requires_grad:
-        return
-    if vertex.grad is None:
-        if vertex._backward is None:  # a leaf keeps a private copy
-            grad = np.array(grad, dtype=np.float64)
-        vertex.grad = grad
-    else:
-        vertex.grad = vertex.grad + grad
+    if vertex.requires_grad:
+        vertex.grad = grad if vertex.grad is None else vertex.grad + grad
 
 
 def _node(data, parents, backward):
@@ -244,14 +233,9 @@ def _as_tensor(x):
 
 
 def _unbroadcast(grad, shape):
-    """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
+    """Sum ``grad`` over the leading axes that ``shape`` lacks."""
     extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +243,14 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
+    """a + b, where the shorter shape must end the longer one."""
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    va, vb = _vertex(a), _vertex(b)
     a_shape, b_shape = a.data.shape, b.data.shape
+    n = min(len(a_shape), len(b_shape))
+    if a_shape[len(a_shape) - n:] != b_shape[len(b_shape) - n:]:
+        raise ShapeError(f"add: neither of {a_shape} and {b_shape} ends the other")
+    data = a.data + b.data
+    va, vb = _vertex(a), _vertex(b)
 
     def backward(g):
         if _needs_grad(va):
@@ -369,55 +354,42 @@ def transpose(x, axes=None):
     return _node(x.data.transpose(axes), (vx,), backward)
 
 
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Concatenate along the last axis."""
     tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
     try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
+        data = np.concatenate([t.data for t in tensors], axis=-1)
     except ValueError:
-        raise ShapeError(
-            f"concat: incompatible shapes {[t.shape for t in tensors]} on axis {axis}"
-        )
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in tensors]}")
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
     vertices = [_vertex(t) for t in tensors]
 
     def backward(g):
         for vt, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
-            if not _needs_grad(vt):
-                continue
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(vt, g[tuple(idx)])
+            if _needs_grad(vt):
+                _accumulate(vt, g[..., lo:hi])
 
     return _node(data, vertices, backward)
 
 
-def split(x, sizes, axis=0):
-    """Split along ``axis`` into chunks of the given sizes."""
+def split(x, sizes):
+    """Split the last axis into chunks of the given sizes."""
     x = _as_tensor(x)
-    if sum(sizes) != x.data.shape[axis]:
-        raise ShapeError(
-            f"split: sizes {sizes} do not sum to axis length "
-            f"{x.data.shape[axis]} of shape {x.shape}"
-        )
-    vx = _vertex(x)
     x_shape = x.data.shape
+    if sum(sizes) != x_shape[-1]:
+        raise ShapeError(f"split: sizes {sizes} do not sum to {x_shape}[-1]")
+    vx = _vertex(x)
     outs = []
     lo = 0
     for size in sizes:
         hi = lo + size
-        idx = [slice(None)] * x.data.ndim
-        idx[axis] = slice(lo, hi)
-        idx = tuple(idx)
 
-        def backward(g, idx=idx):
+        def backward(g, lo=lo, hi=hi):
             full = np.zeros(x_shape)
-            full[idx] = g
+            full[..., lo:hi] = g
             _accumulate(vx, full)
 
-        outs.append(_node(x.data[idx], (vx,), backward))
+        outs.append(_node(x.data[..., lo:hi], (vx,), backward))
         lo = hi
     return outs
 
@@ -680,18 +652,18 @@ def conv1d(x, filters, padding):
     return _node(data, (vx, vf), backward)
 
 
-def max_reduce(x, axis=-2):
-    """Maximum over ``axis``; gradient goes to the first argmax."""
+def max_reduce(x):
+    """Maximum over axis -2; gradient goes to the first argmax."""
     x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError(f"max_reduce: expected at least 2-d input, got {x.shape}")
-    idx = np.expand_dims(x.data.argmax(axis=axis), axis)  # first max on ties
-    data = np.take_along_axis(x.data, idx, axis=axis).squeeze(axis)
+    idx = np.expand_dims(x.data.argmax(axis=-2), -2)  # first max on ties
+    data = np.take_along_axis(x.data, idx, axis=-2).squeeze(-2)
     vx, x_shape = _vertex(x), x.data.shape
 
     def backward(g):
         gx = np.zeros(x_shape)
-        np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis=axis)
+        np.put_along_axis(gx, idx, np.expand_dims(g, -2), axis=-2)
         _accumulate(vx, gx)
 
     return _node(data, (vx,), backward)

@@ -46,6 +46,9 @@ class CacnnConfig:
                     f"context_width {self.context_width} exceeds the context "
                     f"vector length {self.initial_filters}"
                 )
+        elif self.context_width or self.context_filters:
+            raise ValueError("the simplified variant takes no context_width "
+                             "or context_filters")
 
 
 def validate(config, seq_len, hidden_size):
@@ -96,7 +99,7 @@ def forward(x, registry, config):
     maps = ag.add(ag.conv1d(x, registry["cacnn.init_filters"], "same"),
                   registry["cacnn.init_bias"])                   # [..., L, n_f]
     if config.variant == CONTEXT_VECTOR:
-        signal = ag.reshape(ag.max_reduce(maps, -2),
+        signal = ag.reshape(ag.max_reduce(maps),
                             lead + (config.initial_filters, 1))
         maps = ag.add(
             ag.conv1d(signal, registry["cacnn.context_filters"], "valid"),
@@ -106,9 +109,9 @@ def forward(x, registry, config):
     needed = config.sample_filters * config.sample_width * H
     reps = -(-needed // flat.shape[-1])  # validate keeps simplified at 1
     if reps > 1:
-        flat = ag.concat([flat] * reps, -1)
+        flat = ag.concat([flat] * reps)
     if flat.shape[-1] > needed:
-        flat = ag.split(flat, [needed, flat.shape[-1] - needed], -1)[0]
+        flat = ag.split(flat, [needed, flat.shape[-1] - needed])[0]
     filters = ag.reshape(flat, lead + (config.sample_filters,
                                        config.sample_width, H))
     return ag.conv1d(x, filters, "same")

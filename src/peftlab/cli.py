@@ -68,19 +68,11 @@ def _run_experiment(spec, out_dir):
                       os.path.join(out_dir, f"loss_{spec.label}.csv"))
 
     em, f1 = round(em, 1), round(f1, 1)
-    model_columns = _model_columns(spec)
+    model_columns = accounting.model_columns(config, spec.policy, spec.head)
     ratio = efficiency_ratio(f1, model_columns[-1])
     return [spec.label, *model_columns, f"{em:.1f}", f"{f1:.1f}",
             f"{result.train_seconds:.3f}", f"{infer_seconds:.3f}",
             f"{ratio:.4f}"]
-
-
-def _model_columns(spec):
-    """layers_trained, adapter_size, trainable_params: a row's model."""
-    config = spec.encoder_config
-    return [spec.policy.top_layers_trainable,
-            config.adapter.adapter_size if config.adapter else "",
-            accounting.count(config, spec.policy, spec.head).trainable_under_policy]
 
 
 def cmd_run(args):
@@ -96,7 +88,9 @@ def cmd_run(args):
         # a row of another model must not pass for a spec's result
         for spec in [s for s in specs if s.label in existing]:
             row = dict(zip(REPORT_COLUMNS, existing[spec.label]))
-            for column, want in zip(REPORT_COLUMNS[1:4], _model_columns(spec)):
+            columns = accounting.model_columns(spec.encoder_config,
+                                               spec.policy, spec.head)
+            for column, want in zip(REPORT_COLUMNS[1:4], columns):
                 if row[column] != str(want):
                     raise ValueError(
                         f"{report_path}: row {spec.label!r} has {column} "

@@ -296,7 +296,7 @@ def forward(registry, config, tokens, segments):
 def start_end_logits(features, w, b):
     """Per-position affine features [..., L,F] -> 2, read out as the
     (start_logits, end_logits) pair, each [..., L]."""
-    start, end = ag.split(ag.add(ag.matmul(features, w), b), [1, 1], -1)
+    start, end = ag.split(ag.add(ag.matmul(features, w), b), [1, 1])
     lead = features.shape[:-1]
     return ag.reshape(start, lead), ag.reshape(end, lead)
 

@@ -103,8 +103,6 @@ def parse_manifest(path):
             specs.append(_build_spec(label, section))
         except ValueError as exc:  # bad values and every config's own checks
             raise ManifestError(f"[{label}] {exc}") from exc
-    if len({s.label for s in specs}) != len(specs):
-        raise ManifestError("duplicate experiment labels in manifest")
     return specs
 
 

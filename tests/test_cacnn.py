@@ -81,7 +81,7 @@ class TestContextVectorForward:
         x = ag.Tensor(np.tile([0.3, -0.2, 0.5], (6, 1)))
         maps = ag.add(ag.conv1d(x, reg["cacnn.init_filters"], "same"),
                       reg["cacnn.init_bias"])
-        context = ag.max_reduce(maps, 0)
+        context = ag.max_reduce(maps)
         assert np.allclose(context.data, maps.data[0])
         out = cacnn.forward(x, reg, cfg)
         assert np.allclose(out.data, np.tile(out.data[0], (6, 1)))

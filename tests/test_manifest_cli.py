@@ -135,6 +135,15 @@ class TestParseManifest:
                            r"w_c, variant need head = cacnn$"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("keys", ["w_c = 3\n", "m = 4\n",
+                                      "w_c = 3\nm = 4\n"])
+    def test_simplified_head_rejects_the_context_keys(self, tmp_path, keys):
+        path = write_manifest(
+            tmp_path, f"[s]\nhead = cacnn\nvariant = simplified\n{keys}")
+        with pytest.raises(ManifestError, match=r"^\[s\] the simplified variant "
+                           r"takes no context_width or context_filters$"):
+            parse_manifest(path)
+
     def test_shipped_manifests_parse(self):
         for name in ("table1.cfg", "table2.cfg", "desk.cfg"):
             specs = parse_manifest(os.path.join(REPO, "manifests", name))
@@ -165,6 +174,26 @@ class TestCount:
         assert capsys.readouterr().err == \
             f"error: {manifest}: no experiments\n"
         assert not (out / "counts.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [("count", "--config"),
+                                               ("run", "--manifest")])
+    def test_simplified_cacnn_with_context_keys_exits_1(
+            self, tmp_path, capsys, command, flag):
+        manifest = write_manifest(tmp_path, "[s]\nhead = cacnn\n"
+                                  "variant = simplified\nw_c = 3\nm = 4\n")
+        out = tmp_path / "out"
+        assert cli.main([command, flag, manifest, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: [s] the simplified variant takes no context_width")
+        assert not out.exists()
+
+    def test_duplicate_section_exits_1(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, "[a]\nepochs = 1\n[a]\n")
+        out = tmp_path / "out"
+        assert cli.main(["count", "--config", manifest, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "section 'a' already exists" in err
+        assert not out.exists()
 
     def test_missing_manifest(self, tmp_path, capsys):
         code = cli.main(["count", "--config", str(tmp_path / "absent.cfg"),
@@ -573,13 +602,15 @@ class TestGradcheckCommand:
 
         def broken_gelu(x):
             out = real_gelu(x)
-            inner = out._backward
+            if out._node is None:  # the finite differences run under no_grad
+                return out
+            inner = out._node._backward
 
             def wrong(g):
                 inner(g)
                 if x.requires_grad and x.grad is not None:
                     x.grad *= 1.01  # corrupt the gradient slightly
-            out._backward = wrong
+            out._node._backward = wrong
             return out
 
         monkeypatch.setattr(checks.ag, "gelu", broken_gelu)
