@@ -1,4 +1,4 @@
-"""Experiment runner CLI: count, run, gradcheck, plotdata, generate-data.
+"""Experiment runner CLI: count, run, gradcheck, plotdata.
 
 Exit codes: 0 success, 1 validation or usage error, 2 runtime or divergence.
 """
@@ -11,8 +11,8 @@ import os
 import sys
 
 from . import accounting, checks
-from .manifest import ExperimentSpec, ManifestError, parse_manifest
-from .span import generate_dataset, save_dataset
+from .manifest import ManifestError, parse_manifest
+from .span import generate_dataset
 from .trainer import (TrainingDiverged, build_model, efficiency_ratio,
                       evaluate, save_loss_history, train)
 
@@ -21,6 +21,10 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 REPORT_COLUMNS = accounting.CSV_COLUMNS + ["efficiency_ratio"]
+# the columns plotdata projects: how each must parse, and what it must be
+PLOT_COLUMNS = {"trainable_params": (int, "an integer"),
+                "f1": (float, "a number"), "train_seconds": (float, "a number"),
+                "inference_seconds": (float, "a number")}
 
 
 def _fail(code, message):
@@ -110,8 +114,8 @@ def cmd_run(args):
             _write_report(report_path, specs, existing)
     except OSError as exc:
         return _fail(EXIT_VALIDATION, exc)
-    except TrainingDiverged as exc:
-        return _fail(EXIT_RUNTIME, exc)
+    except (TrainingDiverged, MemoryError) as exc:
+        return _fail(EXIT_RUNTIME, f"[{spec.label}] {exc}")
 
     print(f"wrote {report_path} ({len(existing)} rows, {len(todo)} new)")
     return EXIT_OK
@@ -155,25 +159,22 @@ def cmd_plotdata(args):
     seen = {}
     for path in args.reports:
         try:
-            report = _read_report(path, ["label", "f1", "train_seconds",
-                                         "inference_seconds",
-                                         "trainable_params"])
+            report = _read_report(path, ["label", *PLOT_COLUMNS])
         except (ValueError, OSError) as exc:
             return _fail(EXIT_VALIDATION, exc)
         for row in report:
-            try:
-                int(row["trainable_params"])
-            except (TypeError, ValueError):
-                return _fail(EXIT_VALIDATION,
-                             f"{path}: row {row['label']!r}: trainable_params "
-                             f"{row['trainable_params']!r} is not an integer")
+            for column, (parse, kind) in PLOT_COLUMNS.items():
+                try:
+                    parse(row[column])
+                except (TypeError, ValueError):
+                    return _fail(EXIT_VALIDATION,
+                                 f"{path}: row {row['label']!r}: {column} "
+                                 f"{row[column]!r} is not {kind}")
             seen.setdefault(row["label"], []).append(path)
             rows.append(row)
     duplicates = sorted(l for l, paths in seen.items() if len(paths) > 1)
     if duplicates:
         return _fail(EXIT_VALIDATION, f"duplicate labels: {', '.join(duplicates)}")
-
-    os.makedirs(args.out, exist_ok=True)
 
     def write(name, columns, ordered_rows):
         path = os.path.join(args.out, name)
@@ -184,24 +185,14 @@ def cmd_plotdata(args):
                 writer.writerow([row["label"]] + [row[c] for c in columns])
         print(f"wrote {path}")
 
-    write("train_time_vs_f1.csv", ["train_seconds", "f1"], rows)
-    write("inference_time_vs_f1.csv", ["inference_seconds", "f1"], rows)
-    write("params_vs_f1.csv", ["trainable_params", "f1"],
-          sorted(rows, key=lambda r: int(r["trainable_params"])))
-    return EXIT_OK
-
-
-def cmd_generate_data(args):
     try:
-        examples = generate_dataset(
-            seed=args.seed, count=args.count, seq_len=args.length,
-            vocab_size=args.vocab_size,
-            unanswerable_fraction=args.unanswerable_fraction,
-        )
-        save_dataset(examples, args.out)
-    except (ValueError, OSError) as exc:
+        os.makedirs(args.out, exist_ok=True)
+        write("train_time_vs_f1.csv", ["train_seconds", "f1"], rows)
+        write("inference_time_vs_f1.csv", ["inference_seconds", "f1"], rows)
+        write("params_vs_f1.csv", ["trainable_params", "f1"],
+              sorted(rows, key=lambda r: int(r["trainable_params"])))
+    except OSError as exc:
         return _fail(EXIT_VALIDATION, exc)
-    print(f"wrote {len(examples)} examples to {args.out}")
     return EXIT_OK
 
 
@@ -243,16 +234,6 @@ def build_parser():
     p.add_argument("reports", nargs="+", help="report.csv files")
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_plotdata)
-
-    p = sub.add_parser("generate-data", help="write a synthetic dataset file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=ExperimentSpec.dataset_count)
-    p.add_argument("--length", type=int, default=ExperimentSpec.dataset_len)
-    p.add_argument("--vocab-size", type=int, default=64)
-    p.add_argument("--unanswerable-fraction", type=float,
-                   default=ExperimentSpec.unanswerable_fraction)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_generate_data)
 
     return parser
 

@@ -163,12 +163,3 @@ def score(predictions, golds):
     em = 100.0 * sum(p[0] for p in pairs) / len(pairs)
     f1 = 100.0 * sum(p[1] for p in pairs) / len(pairs)
     return em, f1
-
-
-def save_dataset(examples, path):
-    """One example per line: token ids | segment ids | gold start gold end."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            toks = " ".join(str(t) for t in ex.tokens)
-            segs = " ".join(str(s) for s in ex.segments)
-            fh.write(f"{toks}|{segs}|{ex.gold_span[0]} {ex.gold_span[1]}\n")

@@ -402,6 +402,26 @@ class TestRun:
         assert [r["label"] for r in again] == ["tiny-full", "tiny-frozen"]
         assert again[0] == rows[0]
 
+    def test_allocation_failure_exits_2_and_keeps_finished_rows(
+            self, tmp_path, capsys, monkeypatch):
+        real = cli.build_model
+
+        def build_model(config, policy, head, seed):
+            if policy.top_layers_trainable == 0:  # the second section
+                raise MemoryError("Unable to allocate 233. TiB")
+            return real(config, policy, head, seed)
+
+        monkeypatch.setattr(cli, "build_model", build_model)
+        manifest = write_manifest(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        code = cli.main(["run", "--manifest", manifest, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: [tiny-frozen] Unable to allocate 233. TiB\n"
+        with open(out / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["label"] for r in rows] == ["tiny-full"]
+
     def test_out_dir_key_is_unknown(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, "[a]\nout_dir = somewhere\n")
         code = cli.main(["run", "--manifest", manifest,
@@ -443,17 +463,30 @@ def test_invalid_manifest_exits_1_with_a_message(tmp_path, capsys, command,
     assert not os.path.exists(tmp_path / "out" / "report.csv")
 
 
-@pytest.mark.parametrize("command", ["count", "run", "generate-data"])
+@pytest.mark.parametrize("command", ["count", "run", "plotdata"])
 def test_unwritable_out_exits_1_with_a_message(tmp_path, capsys, command):
     blocker = tmp_path / "blocker"  # a regular file: blocker/out cannot exist
     blocker.write_text("")
+    report = tmp_path / "report.csv"
+    report.write_text("label,trainable_params,f1,train_seconds,"
+                      "inference_seconds\nx,1000,60,1,0.5\n")
     args = {"count": ["--config", write_manifest(tmp_path, "[a]\n")],
             "run": ["--manifest", write_manifest(tmp_path, SMALL_RUN)],
-            "generate-data": ["--count", "4"]}[command]
+            "plotdata": [str(report)]}[command]
     code = cli.main([command, *args, "--out", str(blocker / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_generate_data_is_an_unknown_command(tmp_path, capsys):
+    out = tmp_path / "d.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["generate-data", "--count", "4", "--out", str(out)])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "generate-data" in err
+    assert not out.exists()
 
 
 class TestUsageErrors:
@@ -526,54 +559,33 @@ class TestPlotdata:
         assert str(bad) in err and "'y'" in err and "trainable_params" in err
         assert not out.exists()
 
+    # counts.csv has every report column but leaves the run's ones blank
+    @pytest.mark.parametrize("column, value", [
+        ("f1", ""), ("train_seconds", ""), ("inference_seconds", ""),
+        ("f1", "sixty"),
+    ])
+    def test_non_numeric_value_rejected_before_writing(
+            self, tmp_path, capsys, column, value):
+        row = {"label": "x", "trainable_params": "1000", "f1": "60",
+               "train_seconds": "1", "inference_seconds": "0.5", column: value}
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, list(row), lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(row)
+        out = tmp_path / "p"
+        code = cli.main(["plotdata", str(bad), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: row 'x': {column} {value!r} is not a number\n")
+        assert not out.exists()
+
     def test_missing_column_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,f1\nx,70\n")
         code = cli.main(["plotdata", str(bad), "--out", str(tmp_path / "p")])
         assert code == 1
         assert "missing columns" in capsys.readouterr().err
-
-
-class TestGenerateData:
-    def test_deterministic_output(self, tmp_path):
-        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
-        args = ["generate-data", "--seed", "3", "--count", "12",
-                "--length", "24", "--vocab-size", "64"]
-        assert cli.main(args + ["--out", a]) == 0
-        assert cli.main(args + ["--out", b]) == 0
-        with open(a) as fa, open(b) as fb:
-            assert fa.read() == fb.read()
-        with open(a, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == 12
-        for line in lines:  # token ids | segment ids | gold start gold end
-            toks, segs, gold = (field.split() for field in line.split("|"))
-            assert len(toks) == len(segs) == 24 and len(gold) == 2
-            assert all(t.isdigit() for t in toks + segs + gold)
-
-    def test_defaults_are_the_manifest_dataset_defaults(self):
-        args = cli.build_parser().parse_args(["generate-data", "--out", "x"])
-        spec_defaults = (ExperimentSpec.dataset_count,
-                         ExperimentSpec.dataset_len,
-                         ExperimentSpec.unanswerable_fraction)
-        assert (args.count, args.length, args.unanswerable_fraction) == \
-            spec_defaults == (2000, 64, 1.0 / 3.0)
-
-    def test_infeasible_request_exit_code(self, tmp_path, capsys):
-        code = cli.main(["generate-data", "--length", "3",
-                         "--out", str(tmp_path / "x.txt")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_empty_count_exits_1_and_writes_nothing(self, tmp_path, capsys,
-                                                    count):
-        out = tmp_path / "x.txt"
-        code = cli.main(["generate-data", "--count", count, "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            f"error: count must be >= 1, got {count}")
-        assert not out.exists()
 
 
 class TestGradcheckCommand:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peftlab.span import (SpanExample, SpanPrediction, decode_span,
-                          generate_dataset, save_dataset, score)
+                          generate_dataset, score)
 
 from oracles import count_occurrences_loops, decode_span_enumeration
 
@@ -119,19 +119,6 @@ class TestGenerate:
             for ids in (ex.tokens, ex.segments, ex.gold_span):
                 h.update(np.asarray(ids, dtype="<i8").tobytes())
         assert h.hexdigest() == digest
-
-    def test_round_trip_serialization(self, tmp_path):
-        ds = generate_dataset(seed=5, count=12, seq_len=24, vocab_size=64,
-                              unanswerable_fraction=0.25)
-        path = tmp_path / "data.txt"
-        save_dataset(ds, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == len(ds)
-        for ex, line in zip(ds, lines):
-            toks, segs, gold = line.split("|")
-            assert np.array_equal([int(t) for t in toks.split()], ex.tokens)
-            assert np.array_equal([int(t) for t in segs.split()], ex.segments)
-            assert tuple(int(t) for t in gold.split()) == ex.gold_span
 
 
 class TestDecode:
