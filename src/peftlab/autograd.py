@@ -45,6 +45,7 @@ gradcheck).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 
@@ -56,6 +57,27 @@ _GELU_C = 0.044715
 
 BLOCK = 1 << 15  # elements per block: 256 KiB of float64, sized for L2
 LAYER_NORM_EPS = 1e-12  # added to the variance, as in BERT
+
+
+try:  # OpenBLAS's thread-count setter (0.3.27+) in the library numpy loaded
+    with open("/proc/self/maps", encoding="utf-8") as _maps:
+        _blas = next(line.split()[-1] for line in _maps if "openblas" in line)
+    _set_blas_threads = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int)(
+        ("openblas_set_num_threads_local", ctypes.CDLL(_blas)))
+except (OSError, StopIteration, AttributeError):  # another BLAS, not Linux
+    _set_blas_threads = None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block's BLAS calls on one thread, restoring the count after: the
+    process's in numpy's pthreads OpenBLAS, the thread's under OpenMP."""
+    prev = _set_blas_threads(1) if _set_blas_threads else 0
+    try:
+        yield
+    finally:
+        if prev:
+            _set_blas_threads(prev)
 
 
 def blockwise(kernel, arrays, outputs=0, scratch=0):
@@ -488,12 +510,13 @@ def attention(q, k, v, num_heads, scale):
     qs, s_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
     m, z = np.empty((N, A, L, 1)), np.empty((N, A, L, 1))
     out = heads(np.empty(q.data.shape))
-    for sl in slices:
-        s = scores(sl, qs, s_buf)
-        s -= s.max(axis=-1, keepdims=True, out=m[sl])
-        np.exp(s, out=s)
-        s.sum(axis=-1, keepdims=True, out=z[sl])
-        np.matmul(s, vf[sl], out=out[sl])
+    with _one_blas_thread():  # per-head gemms: a hand-off costs more
+        for sl in slices:
+            s = scores(sl, qs, s_buf)
+            s -= s.max(axis=-1, keepdims=True, out=m[sl])
+            np.exp(s, out=s)
+            s.sum(axis=-1, keepdims=True, out=z[sl])
+            np.matmul(s, vf[sl], out=out[sl])
     rows = np.swapaxes(out, 1, 2)  # memory order, so no ufunc buffering
     rows /= np.swapaxes(z, 1, 2)
     q_shape, kv_shape = q.data.shape, k.data.shape
@@ -512,24 +535,25 @@ def attention(q, k, v, num_heads, scale):
         qs, e_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
         if gq is not None or gkt is not None:
             gs_buf = np.empty((n, L, Lk))
-        for sl in slices:
-            es = scores(sl, qs, e_buf)
-            es -= m[sl]
-            np.exp(es, out=es)
-            gz = g[sl] / z[sl]                      # dO / z
-            if gv is not None:
-                np.matmul(np.swapaxes(es, -1, -2), gz, out=gv[sl])
-            if gq is None and gkt is None:
-                continue
-            dot = (gz * kept_out[sl]).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
-            gs = gs_buf[:len(es)]
-            np.matmul(gz, np.swapaxes(vf[sl], -1, -2), out=gs)
-            gs -= dot
-            gs *= es                                # d (scaled) scores
-            if gq is not None:
-                np.matmul(gs, kf[sl], out=gq[sl])
-            if gkt is not None:
-                np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
+        with _one_blas_thread():
+            for sl in slices:
+                es = scores(sl, qs, e_buf)
+                es -= m[sl]
+                np.exp(es, out=es)
+                gz = g[sl] / z[sl]                      # dO / z
+                if gv is not None:
+                    np.matmul(np.swapaxes(es, -1, -2), gz, out=gv[sl])
+                if gq is None and gkt is None:
+                    continue
+                dot = (gz * kept_out[sl]).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
+                gs = gs_buf[:len(es)]
+                np.matmul(gz, np.swapaxes(vf[sl], -1, -2), out=gs)
+                gs -= dot
+                gs *= es                                # d (scaled) scores
+                if gq is not None:
+                    np.matmul(gs, kf[sl], out=gq[sl])
+                if gkt is not None:
+                    np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
         for grad in (gq, gkt):
             if grad is not None:
                 grad *= scale
@@ -550,10 +574,10 @@ def layer_norm(x, gain, bias):
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} must be ({h},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)  # population variance
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centred once
+    var = np.square(xhat).mean(axis=-1, keepdims=True)  # as x.var computes it
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv_std
+    xhat *= inv_std
     out = xhat * gain.data + bias.data
     vx, vgain, vbias = _vertex(x), _vertex(gain), _vertex(bias)
     gain_data = gain.data

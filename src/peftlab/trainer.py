@@ -51,8 +51,8 @@ class Adam:
         self.registry = registry
         self.lr = lr
         self.t = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in registry.trainable_items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in registry.trainable_items()}
+        self.m = {n: np.zeros(t.data.shape) for n, t in registry.trainable_items()}
+        self.v = {n: np.zeros(t.data.shape) for n, t in registry.trainable_items()}
 
     def step(self):
         """Update, in place, every trainable tensor that has a gradient.

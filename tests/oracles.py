@@ -109,6 +109,22 @@ def gelu_reference(v):
     return out, dx
 
 
+def layer_norm_reference(x, gain, bias, g, eps=1e-12):
+    """Layer norm over the last axis as whole-array expressions, with
+    ``x.var`` taking the variance, and its gradients for the output
+    gradient ``g``. Returns (out, dgain, dbias, dx)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    out = xhat * gain + bias
+    lead = tuple(range(g.ndim - 1))
+    dxhat = g * gain
+    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return out, (g * xhat).sum(axis=lead), g.sum(axis=lead), dx
+
+
 def attention_stored_exps(q, k, v, g, scale, block=1 << 15):
     """Attention that stores every head's exps, forward and backward.
 

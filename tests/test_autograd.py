@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -9,7 +11,8 @@ from peftlab import autograd as ag
 from peftlab.autograd import ShapeError, Tensor
 from peftlab.checks import TOLERANCE, check_gradients, random_tensor, run_suite
 
-from oracles import attention_stored_exps, conv1d_loops, gelu_reference
+from oracles import (attention_stored_exps, conv1d_loops, gelu_reference,
+                     layer_norm_reference)
 
 
 class TestMatmul:
@@ -85,6 +88,28 @@ class TestLayerNorm:
         gain, bias = random_tensor(rng, (8,)), random_tensor(rng, (8,))
         fn = lambda: ag.layer_norm(x, gain, bias)
         assert check_gradients(fn, [x, gain, bias]) < 1e-5
+
+    # desk-long's and BERT-base's activations, one row without leading
+    # axes, and a strided view (every other row and column)
+    @pytest.mark.parametrize("make_x", [
+        lambda rng: rng.standard_normal((8, 256, 32)),
+        lambda rng: rng.standard_normal((2, 128, 768)) * 3 + 1,
+        lambda rng: rng.standard_normal(32),
+        lambda rng: rng.standard_normal((2, 40, 64))[:, ::2, ::2],
+    ], ids=["desk-long", "bert-base", "one-row", "strided"])
+    def test_forward_and_gradients_are_bitwise_the_reference(self, make_x):
+        rng = np.random.default_rng(31)
+        x = make_x(rng)
+        h = x.shape[-1]
+        gain, bias = rng.standard_normal(h), rng.standard_normal(h)
+        g = rng.standard_normal(x.shape)
+        ts = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = ag.layer_norm(*ts)
+        out.backward(g)
+        want = layer_norm_reference(x, gain, bias, g)
+        assert np.array_equal(out.data, want[0])
+        for t, grad in zip(ts, (want[3], want[1], want[2])):
+            assert np.array_equal(t.grad, grad)
 
 
 class TestConv1d:
@@ -571,6 +596,9 @@ class TestBatchAxis:
         # temporaries (scaled q, dO / z, numpy's ufunc buffer) smaller than q
         assert peak - after < 2 * group_bytes + q.data.nbytes
 
+    # the oracle runs at the caller's BLAS thread count; the op's head loops
+    # run on one thread, or at that count where the setter is absent
+    @pytest.mark.parametrize("setter", ["found", "absent"])
     # desk-long's shape at L = 256 (one head per group), a whole row of
     # heads per group, three heads per group of A = 5 with L ≠ L', one head
     # without leading axes, and BERT-base's heads of width 64 at L = 128
@@ -585,7 +613,9 @@ class TestBatchAxis:
                                         (False, True, False),
                                         (False, False, True)])
     def test_attention_is_bitwise_the_stored_exps_oracle(
-            self, q_shape, kv_shape, num_heads, trains):
+            self, monkeypatch, q_shape, kv_shape, num_heads, trains, setter):
+        if setter == "absent":
+            monkeypatch.setattr(ag, "_set_blas_threads", None)
         rng = np.random.default_rng(30)
         q = rng.standard_normal(q_shape)
         k, v = rng.standard_normal(kv_shape), rng.standard_normal(kv_shape)
@@ -614,3 +644,56 @@ class TestBatchAxis:
         rows = sum(ag.cross_entropy_from_logits(Tensor(row), t).item()
                    for row, t in zip(logits, targets))
         assert batched == pytest.approx(rows, rel=1e-14)
+
+
+class TestOneBlasThread:
+    @staticmethod
+    def _count(setter):
+        """The current BLAS thread count, read through the setter's return."""
+        count = setter(1)
+        setter(count)
+        return count
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_scope_restores_the_previous_count(self, raises):
+        setter = ag._set_blas_threads
+        if setter is None:
+            pytest.skip("numpy's BLAS has no openblas_set_num_threads_local")
+        original = setter(2)
+        try:
+            with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+                with ag._one_blas_thread():
+                    assert self._count(setter) == 1
+                    if raises:
+                        raise RuntimeError("body failed")
+            assert self._count(setter) == 2
+        finally:
+            setter(original)
+
+    def test_attention_loops_run_on_one_thread_and_restore(self, monkeypatch):
+        calls = []
+
+        def fake(count):  # a caller at 2 threads, logging each setting
+            calls.append(count)
+            return 2
+        monkeypatch.setattr(ag, "_set_blas_threads", fake)
+        rng = np.random.default_rng(32)
+        q, k, v = (Tensor(rng.standard_normal((2, 9, 8)), requires_grad=True)
+                   for _ in range(3))
+        with ag.no_grad():
+            ag.attention(q, k, v, 2, 0.5)
+        assert calls == [1, 2]
+        out = ag.attention(q, k, v, 2, 0.5)
+        assert calls == [1, 2] * 2
+        out.backward(rng.standard_normal((2, 9, 8)))
+        assert calls == [1, 2] * 3
+
+    def test_attention_starts_no_thread(self):
+        rng = np.random.default_rng(33)
+        q, k, v = (Tensor(rng.standard_normal((8, 256, 32)), requires_grad=True)
+                   for _ in range(3))
+        before = threading.active_count()
+        out = ag.attention(q, k, v, 4, 0.5)
+        assert threading.active_count() == before
+        out.backward(rng.standard_normal((8, 256, 32)))
+        assert threading.active_count() == before
