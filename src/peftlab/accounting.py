@@ -7,8 +7,6 @@ Whenever a registry is actually built, these numbers must match it exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -84,24 +82,18 @@ def _footnote(config, policy, trainable, head):
     return ""
 
 
-CSV_COLUMNS = ["label", "layers_trained", "adapter_size", "trainable_params",
-               "em", "f1", "train_seconds", "inference_seconds"]
-
-
 def table_report(rows):
-    """Render (label, config, policy, head) rows as a text table plus CSV.
+    """Render (label, config, policy, head) rows as a text table.
 
-    Returns (text, csv_text, reports). EM/F1/time columns stay blank; this is
-    an accounting view, not a run report.
+    EM/F1/time columns stay blank; this is an accounting view, not a run
+    report.
     """
-    reports = [(label, config, policy, count(config, policy, head))
-               for label, config, policy, head in rows]
-
     headers = ["label", "layers trained", "trainable params", "EM", "F1",
                "train s", "inference s"]
     table_rows = []
     footnotes = []
-    for label, config, policy, rep in reports:
+    for label, config, policy, head in rows:
+        rep = count(config, policy, head)
         value = f"{rep.trainable_under_policy:,}"
         if rep.footnote:
             value += "†" * (len(footnotes) + 1)
@@ -115,18 +107,4 @@ def table_report(rows):
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     for i, note in enumerate(footnotes):
         lines.append(f"{'†' * (i + 1)} {note}")
-    text = "\n".join(lines) + "\n"
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for label, config, policy, head in rows:
-        writer.writerow([label, *model_columns(config, policy, head)] + [""] * 4)
-    return text, buf.getvalue(), reports
-
-
-def model_columns(config, policy, head=AFFINE_SPAN):
-    """A row's layers_trained, adapter_size and trainable_params."""
-    return [policy.top_layers_trainable,
-            config.adapter.adapter_size if config.adapter else "",
-            count(config, policy, head).trainable_under_policy]
+    return "\n".join(lines) + "\n"

@@ -14,13 +14,15 @@ from . import accounting, checks
 from .manifest import ManifestError, parse_manifest
 from .span import generate_dataset
 from .trainer import (TrainingDiverged, build_model, efficiency_ratio,
-                      evaluate, save_loss_history, train)
+                      evaluate, train)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-REPORT_COLUMNS = accounting.CSV_COLUMNS + ["efficiency_ratio"]
+COUNT_COLUMNS = ["label", "layers_trained", "adapter_size", "trainable_params",
+                 "em", "f1", "train_seconds", "inference_seconds"]
+REPORT_COLUMNS = COUNT_COLUMNS + ["efficiency_ratio"]
 # the columns plotdata projects: how each must parse, and what it must be
 PLOT_COLUMNS = {"trainable_params": (int, "an integer"),
                 "f1": (float, "a number"), "train_seconds": (float, "a number"),
@@ -33,24 +35,54 @@ def _fail(code, message):
 
 
 def _read_report(path, columns):
-    """The rows of a report CSV; ValueError names any missing column."""
+    """The rows of a report CSV by label, in file order; ValueError names any
+    missing column or repeated label."""
+    rows = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(columns) - set(reader.fieldnames or ())
         if missing:
             raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        return list(reader)
+        for row in reader:
+            if row["label"] in rows:
+                raise ValueError(f"{path}: label {row['label']!r} appears "
+                                 "twice")
+            rows[row["label"]] = row
+    return rows
+
+
+def _write_csv(path, columns, rows):
+    """Atomically write dict rows under a header of columns: a cell a row
+    lacks is blank, and a key outside columns is dropped."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, columns, restval="", extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    os.replace(tmp, path)
+
+
+def _model_columns(config, policy, head):
+    """The report cells that the model alone fixes."""
+    adapter = config.adapter
+    return {"layers_trained": policy.top_layers_trainable,
+            "adapter_size": adapter.adapter_size if adapter else "",
+            "trainable_params": accounting.count(
+                config, policy, head).trainable_under_policy}
 
 
 def cmd_count(args):
     out_path = os.path.join(args.out, "counts.csv")
     try:
         specs = parse_manifest(args.config)
-        rows = [(s.label, s.encoder_config, s.policy, s.head) for s in specs]
-        text, csv_text, _ = accounting.table_report(rows)
+        text = accounting.table_report(
+            [(s.label, s.encoder_config, s.policy, s.head) for s in specs])
         os.makedirs(args.out, exist_ok=True)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        # the run columns stay blank: this is an accounting view
+        _write_csv(out_path, COUNT_COLUMNS,
+                   [{"label": s.label, **_model_columns(
+                       s.encoder_config, s.policy, s.head)} for s in specs])
     except (ManifestError, OSError) as exc:
         return _fail(EXIT_VALIDATION, exc)
     print(text, end="")
@@ -68,15 +100,18 @@ def _run_experiment(spec, out_dir):
     model = build_model(config, spec.policy, spec.head, tc.seed)
     result = train(model, dataset, tc)
     em, f1, infer_seconds = evaluate(model, dataset, tc)
-    save_loss_history(result.loss_history,
-                      os.path.join(out_dir, f"loss_{spec.label}.csv"))
+    _write_csv(os.path.join(out_dir, f"loss_{spec.label}.csv"),
+               ["step", "epoch", "loss"],
+               ({"step": step, "epoch": epoch, "loss": loss}
+                for step, epoch, loss in result.loss_history))
 
     em, f1 = round(em, 1), round(f1, 1)
-    model_columns = accounting.model_columns(config, spec.policy, spec.head)
-    ratio = efficiency_ratio(f1, model_columns[-1])
-    return [spec.label, *model_columns, f"{em:.1f}", f"{f1:.1f}",
-            f"{result.train_seconds:.3f}", f"{infer_seconds:.3f}",
-            f"{ratio:.4f}"]
+    columns = _model_columns(config, spec.policy, spec.head)
+    ratio = efficiency_ratio(f1, columns["trainable_params"])
+    return {"label": spec.label, **columns, "em": f"{em:.1f}",
+            "f1": f"{f1:.1f}", "train_seconds": f"{result.train_seconds:.3f}",
+            "inference_seconds": f"{infer_seconds:.3f}",
+            "efficiency_ratio": f"{ratio:.4f}"}
 
 
 def cmd_run(args):
@@ -87,14 +122,12 @@ def cmd_run(args):
         specs = parse_manifest(args.manifest)
         os.makedirs(out_dir, exist_ok=True)
         if os.path.exists(report_path):
-            for row in _read_report(report_path, REPORT_COLUMNS):
-                existing[row["label"]] = [row[c] for c in REPORT_COLUMNS]
+            existing = _read_report(report_path, REPORT_COLUMNS)
         # a row of another model must not pass for a spec's result
         for spec in [s for s in specs if s.label in existing]:
-            row = dict(zip(REPORT_COLUMNS, existing[spec.label]))
-            columns = accounting.model_columns(spec.encoder_config,
-                                               spec.policy, spec.head)
-            for column, want in zip(REPORT_COLUMNS[1:4], columns):
+            row = existing[spec.label]
+            for column, want in _model_columns(
+                    spec.encoder_config, spec.policy, spec.head).items():
                 if row[column] != str(want):
                     raise ValueError(
                         f"{report_path}: row {spec.label!r} has {column} "
@@ -125,14 +158,10 @@ def _write_report(path, specs, rows):
     """Atomically write every row: the manifest's in manifest order, then
     the other rows already in the report, in file order."""
     rank = {spec.label: i for i, spec in enumerate(specs)}
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        # a stable sort: rows is in file order, new labels come last
-        for label in sorted(rows, key=lambda l: rank.get(l, len(rank))):
-            writer.writerow(rows[label])
-    os.replace(tmp, path)
+    # a stable sort: rows is in file order, new labels come last
+    _write_csv(path, REPORT_COLUMNS,
+               sorted(rows.values(),
+                      key=lambda row: rank.get(row["label"], len(rank))))
 
 
 def cmd_gradcheck(args):
@@ -162,7 +191,7 @@ def cmd_plotdata(args):
             report = _read_report(path, ["label", *PLOT_COLUMNS])
         except (ValueError, OSError) as exc:
             return _fail(EXIT_VALIDATION, exc)
-        for row in report:
+        for row in report.values():
             for column, (parse, kind) in PLOT_COLUMNS.items():
                 try:
                     parse(row[column])
@@ -176,21 +205,16 @@ def cmd_plotdata(args):
     if duplicates:
         return _fail(EXIT_VALIDATION, f"duplicate labels: {', '.join(duplicates)}")
 
-    def write(name, columns, ordered_rows):
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label"] + columns)
-            for row in ordered_rows:
-                writer.writerow([row["label"]] + [row[c] for c in columns])
-        print(f"wrote {path}")
-
+    by_params = sorted(rows, key=lambda r: int(r["trainable_params"]))
     try:
         os.makedirs(args.out, exist_ok=True)
-        write("train_time_vs_f1.csv", ["train_seconds", "f1"], rows)
-        write("inference_time_vs_f1.csv", ["inference_seconds", "f1"], rows)
-        write("params_vs_f1.csv", ["trainable_params", "f1"],
-              sorted(rows, key=lambda r: int(r["trainable_params"])))
+        for name, x, ordered in [
+                ("train_time_vs_f1.csv", "train_seconds", rows),
+                ("inference_time_vs_f1.csv", "inference_seconds", rows),
+                ("params_vs_f1.csv", "trainable_params", by_params)]:
+            path = os.path.join(args.out, name)
+            _write_csv(path, ["label", x, "f1"], ordered)
+            print(f"wrote {path}")
     except OSError as exc:
         return _fail(EXIT_VALIDATION, exc)
     return EXIT_OK

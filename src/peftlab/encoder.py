@@ -61,9 +61,9 @@ class EncoderConfig:
             )
 
 
-def desk_config(num_layers=2, adapter=None):
+def desk_config(adapter=None):
     return EncoderConfig(
-        vocab_size=64, hidden_size=32, num_layers=num_layers, num_heads=4,
+        vocab_size=64, hidden_size=32, num_layers=2, num_heads=4,
         intermediate_size=128, max_seq_len=64, adapter=adapter,
     )
 

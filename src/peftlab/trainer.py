@@ -200,9 +200,3 @@ def efficiency_ratio(f1_percent, trainable_count):
         raise ValueError("trainable_count must be >= 2")
     return (f1_percent - 50.0) / math.log10(trainable_count)
 
-
-def save_loss_history(history, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step,epoch,loss\n")
-        for step, epoch, loss in history:
-            fh.write(f"{step},{epoch},{loss!r}\n")

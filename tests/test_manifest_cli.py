@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peftlab import checks, cli
+from peftlab.accounting import count
 from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import AFFINE_SPAN, FreezePolicy, desk_config
 from peftlab.manifest import (KNOWN_KEYS, ExperimentSpec, ManifestError,
@@ -167,6 +168,30 @@ class TestCount:
         assert [int(r["trainable_params"]) for r in rows] == \
             [39_938, 7_124_738, 21_294_338, 42_548_738, 108_893_186]
 
+    def test_counts_csv_has_the_model_columns_and_blank_run_columns(
+            self, tmp_path):
+        manifest = write_manifest(
+            tmp_path, "[L0]\npreset = bert-base\nlayers_trainable = 0\n"
+            "[L12]\npreset = bert-base\nlayers_trainable = 12\n"
+            "[L0-A64]\npreset = bert-base\nlayers_trainable = 0\n"
+            "adapter_size = 64\n")
+        out = tmp_path / "out"
+        assert cli.main(["count", "--config", manifest, "--out", str(out)]) == 0
+        with open(out / "counts.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == cli.COUNT_COLUMNS
+        assert [r["label"] for r in rows] == ["L0", "L12", "L0-A64"]
+        for row, spec in zip(rows, parse_manifest(manifest)):
+            assert int(row["trainable_params"]) == count(
+                spec.encoder_config, spec.policy,
+                spec.head).trainable_under_policy
+            for column in ("em", "f1", "train_seconds", "inference_seconds"):
+                assert row[column] == ""
+        assert [r["layers_trained"] for r in rows] == ["0", "12", "0"]
+        assert rows[2]["adapter_size"] == "64"
+        assert rows[0]["adapter_size"] == ""
+
     def test_empty_manifest_exits_1(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, "")
         out = tmp_path / "out"
@@ -314,6 +339,28 @@ class TestRun:
         capsys.readouterr()
         assert cli.main(["run", "--manifest", second, "--out", out]) == 0
         assert "already in" in capsys.readouterr().out
+
+    def test_repeated_label_in_the_report_exits_1_and_is_kept(
+            self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        report = out / "report.csv"
+        with open(report, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, cli.REPORT_COLUMNS,
+                                    lineterminator="\n")
+            writer.writeheader()
+            for f1 in ("60.0", "70.0"):
+                writer.writerow({"label": "zz", "layers_trained": 2,
+                                 "trainable_params": 1000, "f1": f1})
+        before = report.read_bytes()
+        manifest = write_manifest(tmp_path, "[a]\ndataset_count = 8\n"
+                                  "dataset_len = 24\nepochs = 1\n")
+        code = cli.main(["run", "--manifest", manifest, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {report}: label 'zz' appears twice\n"
+        assert report.read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv"]
 
     def test_foreign_report_exits_1_and_is_kept(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, SMALL_RUN)
@@ -540,6 +587,16 @@ class TestPlotdata:
         assert code == 1
         assert "duplicate labels: x" in capsys.readouterr().err
 
+    def test_label_repeated_within_one_report_rejected(self, tmp_path,
+                                                       capsys):
+        report = self.write_report(tmp_path, "a.csv", ["x", "y", "x"])
+        out = tmp_path / "p"
+        code = cli.main(["plotdata", report, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {report}: label 'x' appears twice\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", ["12.5", None])
     def test_non_integer_trainable_params_rejected_before_writing(
             self, tmp_path, capsys, params):
@@ -586,6 +643,35 @@ class TestPlotdata:
         code = cli.main(["plotdata", str(bad), "--out", str(tmp_path / "p")])
         assert code == 1
         assert "missing columns" in capsys.readouterr().err
+
+
+class TestWriteCsv:
+    def test_loss_format(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        cli._write_csv(str(path), ["step", "epoch", "loss"],
+                       [{"step": 0, "epoch": 0, "loss": 1.5},
+                        {"step": 1, "epoch": 0, "loss": 0.75},
+                        {"step": 2, "epoch": 1, "loss": 0.1 + 0.2}])
+        assert path.read_bytes() == \
+            b"step,epoch,loss\n0,0,1.5\n1,0,0.75\n2,1,0.30000000000000004\n"
+
+    def test_missing_cells_are_blank_and_extra_keys_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), ["a", "b", "c"],
+                       [{"c": 3, "a": 1, "z": 9}, {"b": None}])
+        assert path.read_bytes() == b"a,b,c\n1,,3\n,,\n"
+
+    def test_rows_that_raise_keep_the_previous_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"label\nold\n")
+
+        def rows():
+            yield {"label": "new"}
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            cli._write_csv(str(path), ["label"], rows())
+        assert path.read_bytes() == b"label\nold\n"
 
 
 class TestGradcheckCommand:

@@ -7,8 +7,7 @@ from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, FreezePolicy,
                              desk_config)
 from peftlab.span import generate_dataset
 from peftlab.trainer import (Adam, TrainConfig, TrainingDiverged, build_model,
-                             efficiency_ratio, evaluate, save_loss_history,
-                             train)
+                             efficiency_ratio, evaluate, train)
 
 import pinned_values
 from oracles import adam_reference
@@ -195,13 +194,3 @@ class TestEfficiencyRatio:
     def test_rejects_tiny_count(self):
         with pytest.raises(ValueError):
             efficiency_ratio(75.0, 1)
-
-
-class TestLossCsv:
-    def test_format(self, tmp_path):
-        path = tmp_path / "loss.csv"
-        save_loss_history([(0, 0, 1.5), (1, 0, 0.75)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,epoch,loss"
-        assert lines[1] == "0,0,1.5"
-        assert lines[2] == "1,0,0.75"
