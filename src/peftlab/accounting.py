@@ -38,14 +38,19 @@ class CountReport:
                 + self.adapters + self.head)
 
 
-def count(config, policy, head=AFFINE_SPAN):
+def model_schema(config, head=AFFINE_SPAN):
+    """Every parameter of the encoder and ``head``, in allocation order."""
     schema = parameter_schema(config, include_head=head == AFFINE_SPAN)
     if head != AFFINE_SPAN:
         schema += cacnn_mod.parameter_schema(head, config.hidden_size)
+    return schema
+
+
+def count(config, policy, head=AFFINE_SPAN):
     groups = dict.fromkeys(("embeddings", "attention", "ffn", "layer_norms",
                             "adapters", "head"), 0)
     trainable = 0
-    for p in schema:
+    for p in model_schema(config, head):
         size = math.prod(p.shape)
         groups[p.group] += size
         if policy.trains(p.group, p.layer, config.num_layers):

@@ -34,13 +34,13 @@ gradient is copied, because the caller keeps it. Each node drops its
 gradient once its backward has run, so after ``backward()`` only leaves hold
 gradients (an output Tensor's own ``.grad`` stays None).
 
-Every op takes optional leading batch axes, so one graph serves a whole
-mini-batch: a single example is a batch with no leading axis. ``add``
-broadcasts over leading axes only, so one operand's shape must end the
-other's (a bias [N], a position table [L, H]). Only the operations the
-encoder, adapter, and convolutional heads need are provided, plus softmax
-and transpose, which no model calls (they stay for the bench tracer and
-gradcheck).
+Every operand is a Tensor; ids and targets are plain integer arrays. Every op
+takes optional leading batch axes, so one graph serves a whole mini-batch: a
+single example is a batch with no leading axis. ``add`` broadcasts over
+leading axes only, so one operand's shape must end the other's (a bias [N], a
+position table [L, H]). Only the operations the encoder, adapter, and
+convolutional heads need are provided, plus softmax and transpose, which no
+model calls (they stay for the bench tracer and gradcheck).
 """
 
 from __future__ import annotations
@@ -250,10 +250,6 @@ def _node(data, parents, backward):
     return out
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _unbroadcast(grad, shape):
     """Sum ``grad`` over the leading axes that ``shape`` lacks."""
     extra = grad.ndim - len(shape)
@@ -266,7 +262,6 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     """a + b, where the shorter shape must end the longer one."""
-    a, b = _as_tensor(a), _as_tensor(b)
     a_shape, b_shape = a.data.shape, b.data.shape
     n = min(len(a_shape), len(b_shape))
     if a_shape[len(a_shape) - n:] != b_shape[len(b_shape) - n:]:
@@ -284,7 +279,6 @@ def add(a, b):
 
 
 def scale(x, c):
-    x = _as_tensor(x)
     c = float(c)
     vx = _vertex(x)
 
@@ -306,7 +300,6 @@ def gelu(x):
     so the results are bitwise those of the unblocked expressions. The
     forward keeps ``t`` for the backward, so it holds two input-sized arrays.
     """
-    x = _as_tensor(x)
     v = x.data
     t, out = blockwise(_gelu_forward, (v,), outputs=2, scratch=1)
     vx = _vertex(x)
@@ -349,7 +342,6 @@ def _gelu_backward(g, v, t, gx, dinner, d):
 
 
 def reshape(x, shape):
-    x = _as_tensor(x)
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
@@ -362,23 +354,18 @@ def reshape(x, shape):
     return _node(x.data.reshape(shape), (vx,), backward)
 
 
-def transpose(x, axes=None):
-    x = _as_tensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(x.data.ndim)))
-    axes = tuple(axes)
-    inv = np.argsort(axes)
+def transpose(x):
+    """Reverse every axis, as numpy's ``.T``."""
     vx = _vertex(x)
 
     def backward(g):
-        _accumulate(vx, g.transpose(inv))
+        _accumulate(vx, g.T)
 
-    return _node(x.data.transpose(axes), (vx,), backward)
+    return _node(x.data.T, (vx,), backward)
 
 
 def concat(tensors):
     """Concatenate along the last axis."""
-    tensors = [_as_tensor(t) for t in tensors]
     try:
         data = np.concatenate([t.data for t in tensors], axis=-1)
     except ValueError:
@@ -396,7 +383,6 @@ def concat(tensors):
 
 def split(x, sizes):
     """Split the last axis into chunks of the given sizes."""
-    x = _as_tensor(x)
     x_shape = x.data.shape
     if sum(sizes) != x_shape[-1]:
         raise ShapeError(f"split: sizes {sizes} do not sum to {x_shape}[-1]")
@@ -422,7 +408,6 @@ def split(x, sizes):
 
 def matmul(a, b):
     """[..., M, K] @ [K, N]: a 2-D weight shared by every leading row."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if (a.data.ndim < 2 or b.data.ndim != 2
             or a.data.shape[-1] != b.data.shape[0]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -445,7 +430,6 @@ def matmul(a, b):
 # the benchmark tracer, which patches it by name, and as the unfused
 # reference the attention tests compare against
 def softmax(x, axis):
-    x = _as_tensor(x)
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -482,7 +466,6 @@ def attention(q, k, v, num_heads, scale):
     per head (Dao et al. 2022, FlashAttention). Each head's arithmetic, and
     so its result, is the same at every group size.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (q.data.ndim < 2 or k.data.shape != v.data.shape
             or q.data.shape[:-2] != k.data.shape[:-2]
             or q.data.shape[-1] != k.data.shape[-1]
@@ -568,7 +551,6 @@ def attention(q, k, v, num_heads, scale):
 
 def layer_norm(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     h = x.data.shape[-1]
     if gain.data.shape != (h,) or bias.data.shape != (h,):
         raise ShapeError(
@@ -611,7 +593,6 @@ def conv1d(x, filters, padding):
     ``padding`` is "same" (zero padded, extra pad on the right for even
     widths, L' = L) or "valid" (L' = L - w + 1).
     """
-    x, filters = _as_tensor(x), _as_tensor(filters)
     lead = x.data.shape[:-2]
     if (x.data.ndim < 2 or filters.data.ndim < 3
             or filters.data.shape[:-3] not in ((), lead)):
@@ -678,7 +659,6 @@ def conv1d(x, filters, padding):
 
 def max_reduce(x):
     """Maximum over axis -2; gradient goes to the first argmax."""
-    x = _as_tensor(x)
     if x.data.ndim < 2:
         raise ShapeError(f"max_reduce: expected at least 2-d input, got {x.shape}")
     idx = np.expand_dims(x.data.argmax(axis=-2), -2)  # first max on ties
@@ -695,7 +675,6 @@ def max_reduce(x):
 
 def embedding_lookup(table, ids):
     """Gather rows of table [V, H] at integer positions ids [...] -> [..., H]."""
-    table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(
@@ -724,7 +703,6 @@ def cross_entropy_from_logits(logits, target_index):
     ``logits`` is [..., n]; ``target_index`` is an int, or an int array
     shaped like the leading axes, one target per row.
     """
-    logits = _as_tensor(logits)
     if logits.data.ndim < 1:
         raise ShapeError(f"cross_entropy: expected [..., n] logits, got {logits.shape}")
     n = logits.data.shape[-1]

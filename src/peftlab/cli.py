@@ -6,13 +6,14 @@ Exit codes: 0 success, 1 validation or usage error, 2 runtime or divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
 
 from . import accounting, checks
 from .manifest import ManifestError, parse_manifest
-from .span import generate_dataset
+from .span import UNANSWERABLE_FRACTION, generate_dataset
 from .trainer import (TrainingDiverged, build_model, efficiency_ratio,
                       evaluate, train)
 
@@ -53,14 +54,20 @@ def _read_report(path, columns):
 
 def _write_csv(path, columns, rows):
     """Atomically write dict rows under a header of columns: a cell a row
-    lacks is blank, and a key outside columns is dropped."""
+    lacks is blank, and a key outside columns is dropped. A write that
+    fails removes its temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, columns, restval="", extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, columns, restval="",
+                                    extrasaction="ignore", lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _model_columns(config, policy, head):
@@ -95,7 +102,7 @@ def _run_experiment(spec, out_dir):
     dataset = generate_dataset(
         seed=tc.seed, count=spec.dataset_count, seq_len=spec.dataset_len,
         vocab_size=config.vocab_size,
-        unanswerable_fraction=spec.unanswerable_fraction,
+        unanswerable_fraction=UNANSWERABLE_FRACTION,
     )
     model = build_model(config, spec.policy, spec.head, tc.seed)
     result = train(model, dataset, tc)

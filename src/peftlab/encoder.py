@@ -179,37 +179,31 @@ _INITS = {"normal": _truncated_normal,
 class ParameterRegistry:
     """Ordered, named parameter store.
 
-    A parameter is trainable exactly when its tensor's ``requires_grad`` is
-    set. Parameters allocated from a schema keep their ``Param`` entry, which
-    the freeze policy reads.
+    Every parameter is allocated from a schema entry, its ``Param``, which the
+    freeze policy reads. A parameter is trainable exactly when its tensor's
+    ``requires_grad`` is set.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._entries: dict[str, Param] = {}
 
-    def add(self, name, values, entry=None):
-        """Add a trainable parameter; ``apply_freeze_policy`` may freeze it."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        # C order, so Adam can update the array block by block in place
-        t = Tensor(np.asarray(values, dtype=np.float64, order="C"),
-                   requires_grad=True)
-        self._params[name] = t
-        if entry is not None:
-            self._entries[name] = entry
-        return t
-
     def allocate(self, schema, seed):
-        """Add every schema entry in order; one generator draws the inits."""
+        """Add every schema entry in order as a trainable parameter, which
+        ``apply_freeze_policy`` may freeze; one generator draws the inits."""
         rng = np.random.default_rng(seed)
         for p in schema:
-            self.add(p.name, _INITS[p.init](rng, p.shape), entry=p)
+            if p.name in self._params:
+                raise ValueError(f"duplicate parameter name {p.name!r}")
+            # C order, so Adam can update the array block by block in place
+            values = np.asarray(_INITS[p.init](rng, p.shape), order="C")
+            self._params[p.name] = Tensor(values, requires_grad=True)
+            self._entries[p.name] = p
         return self
 
     def entry(self, name):
-        """The schema entry a parameter was allocated from, or None."""
-        return self._entries.get(name)
+        """The schema entry a parameter was allocated from."""
+        return self._entries[name]
 
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
@@ -317,7 +311,5 @@ def apply_freeze_policy(registry, config, policy):
         )
     for name, t in registry.items():
         p = registry.entry(name)
-        if p is None:
-            raise ValueError(f"parameter {name!r} has no schema entry")
         t.requires_grad = policy.trains(p.group, p.layer, config.num_layers)
     return registry

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 import re
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import cacnn as cacnn_mod
+from .accounting import model_schema
 from .encoder import (AFFINE_SPAN, AdapterConfig, EncoderConfig, FreezePolicy,
                       PRESETS)
-from .span import check_request
+from .span import UNANSWERABLE_FRACTION, check_request
 from .trainer import TrainConfig
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
@@ -18,26 +22,19 @@ LABEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 # manifest key -> (field, kind), one table per config class the keys set. A
 # key a section leaves out keeps its class's default (for the encoder, the
 # preset's), so the defaults live on the classes alone.
-ENCODER_KEYS = {key: (key, int) for key in (
-    "vocab_size", "hidden_size", "num_layers", "num_heads",
-    "intermediate_size", "max_seq_len")}
+ENCODER_KEYS = {"max_seq_len": ("max_seq_len", int)}
 CACNN_KEYS = {"variant": ("variant", str), "n_f": ("initial_filters", int),
               "w1": ("initial_width", int), "w_c": ("context_width", int),
               "m": ("context_filters", int), "K": ("sample_filters", int),
               "w2": ("sample_width", int)}
 TRAIN_KEYS = {"batch_size": ("batch_size", int), "epochs": ("epochs", int),
-              "learning_rate": ("learning_rate", float), "seed": ("seed", int),
-              "max_answer_len": ("max_answer_len", int)}
+              "learning_rate": ("learning_rate", float), "seed": ("seed", int)}
 DATASET_KEYS = {"dataset_count": ("dataset_count", int),
-                "dataset_len": ("dataset_len", int),
-                "unanswerable_fraction": ("unanswerable_fraction", float)}
-KNOWN_KEYS = {"preset", "layers_trainable", "embeddings_trainable",
-              "adapter_size", "head"}.union(ENCODER_KEYS, CACNN_KEYS,
-                                            TRAIN_KEYS, DATASET_KEYS)
+                "dataset_len": ("dataset_len", int)}
+KNOWN_KEYS = {"preset", "layers_trainable", "adapter_size",
+              "head"}.union(ENCODER_KEYS, CACNN_KEYS, TRAIN_KEYS, DATASET_KEYS)
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-_EXPECTED = {int: "an integer", float: "a number", bool: "true/false"}
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 class ManifestError(ValueError):
@@ -53,7 +50,6 @@ class ExperimentSpec:
     train_config: TrainConfig
     dataset_count: int = 2000
     dataset_len: int = 64
-    unanswerable_fraction: float = 1.0 / 3.0
 
     def __post_init__(self):
         if self.dataset_count < 1:
@@ -66,7 +62,11 @@ class ExperimentSpec:
         if self.head != AFFINE_SPAN:
             cacnn_mod.validate(self.head, self.dataset_len, config.hidden_size)
         check_request(self.dataset_len, config.vocab_size,
-                      unanswerable_fraction=self.unanswerable_fraction)
+                      unanswerable_fraction=UNANSWERABLE_FRACTION)
+        for p in model_schema(config, self.head):
+            if math.prod(p.shape) * 8 > np.iinfo(np.intp).max:  # float64
+                raise ManifestError(f"parameter {p.name} of shape {p.shape} "
+                                    "is too large for numpy to address")
 
 
 def parse_manifest(path):
@@ -113,8 +113,8 @@ def _build_spec(label, section):
             return absent
         raw = section[key]
         try:
-            return _BOOL[raw.strip().lower()] if kind is bool else kind(raw)
-        except (KeyError, ValueError):
+            return kind(raw)
+        except ValueError:
             raise ValueError(f"{key}: expected {_EXPECTED[kind]}, got "
                              f"{raw!r}") from None
 
@@ -136,8 +136,8 @@ def _build_spec(label, section):
         raise ValueError(
             f"layers_trainable {k} out of range 0..{config.num_layers}")
     # Full fine-tuning is the only published setting with trainable embeddings.
-    emb = get("embeddings_trainable", bool, absent=k == config.num_layers)
-    policy = FreezePolicy(top_layers_trainable=k, embeddings_trainable=emb)
+    policy = FreezePolicy(top_layers_trainable=k,
+                          embeddings_trainable=k == config.num_layers)
 
     head = section.get("head", AFFINE_SPAN)
     if head == "cacnn":

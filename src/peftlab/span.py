@@ -17,6 +17,7 @@ import numpy as np
 CLS_ID = 0
 SEP_ID = 1
 FIRST_WORD_ID = 2  # ids below this are reserved
+UNANSWERABLE_FRACTION = 1.0 / 3.0  # of every dataset a manifest runs on
 
 
 @dataclass

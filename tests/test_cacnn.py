@@ -5,7 +5,8 @@ from peftlab import accounting
 from peftlab import autograd as ag
 from peftlab import cacnn
 from peftlab.cacnn import CacnnConfig, CONTEXT_VECTOR, SIMPLIFIED
-from peftlab.encoder import EncoderConfig, FreezePolicy, ParameterRegistry
+from peftlab.encoder import (EncoderConfig, FreezePolicy, Param,
+                             ParameterRegistry)
 from peftlab.checks import check_gradients
 
 from oracles import cacnn_context_vector_loops, cacnn_simplified_loops
@@ -165,9 +166,10 @@ class TestExhaustiveOracle:
 
 class TestHeadLogits:
     def test_projection_column(self):
-        reg = ParameterRegistry()
-        reg.add("cacnn.head_w", [[1.0, 0.0]])
-        reg.add("cacnn.head_b", [0.0, 0.0])
+        reg = ParameterRegistry().allocate(
+            [Param("cacnn.head_w", (1, 2), "head", None, "zeros"),
+             Param("cacnn.head_b", (2,), "head", None, "zeros")], seed=0)
+        reg["cacnn.head_w"].data[0, 0] = 1.0
         maps = ag.Tensor([[2.0], [5.0], [-1.0]])
         start, end = cacnn.head_logits(maps, reg)
         assert np.array_equal(start.data, [2.0, 5.0, -1.0])

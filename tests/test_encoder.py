@@ -62,6 +62,13 @@ class TestBuild:
             EncoderConfig(vocab_size=8, hidden_size=10, num_layers=1,
                           num_heads=3, intermediate_size=8, max_seq_len=8)
 
+    @pytest.mark.parametrize("field", ["hidden_size", "num_heads"])
+    def test_zero_width_rejected(self, field):
+        sizes = dict(vocab_size=8, hidden_size=8, num_layers=1, num_heads=2,
+                     intermediate_size=8, max_seq_len=8)
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got 0$"):
+            EncoderConfig(**{**sizes, field: 0})
+
     def test_build_deterministic(self):
         r1 = build_encoder(TINY, seed=5)
         r2 = build_encoder(TINY, seed=5)
@@ -272,11 +279,12 @@ class TestSchema:
         assert not reg.is_trainable("head.w")
         assert "head.w" not in Adam(reg, lr=1e-3).m
 
-    def test_parameter_without_schema_entry_is_rejected(self):
+    def test_duplicate_parameter_name_is_rejected(self):
         reg = build_encoder(TINY, seed=0)
-        reg.add("layer0.attn.extra_w", np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="layer0.attn.extra_w"):
-            enc.apply_freeze_policy(reg, TINY, FreezePolicy(1, False))
+        extra = enc.Param("layer0.attn.q_w", (2, 2), "attention", 0, "zeros")
+        with pytest.raises(ValueError, match="duplicate parameter name "
+                           "'layer0.attn.q_w'"):
+            reg.allocate([extra], seed=1)
 
 
 class TestBuildModel:

@@ -66,9 +66,11 @@ class TestBlockedGelu:
 class TestBlockedAdam:
     def test_matches_textbook_reference_bitwise_beyond_one_block(self):
         rng = np.random.default_rng(8)
-        reg = enc.ParameterRegistry()
-        reg.add("w", rng.standard_normal((3, BLOCK + 5)))
-        reg.add("b", rng.standard_normal(11))
+        reg = enc.ParameterRegistry().allocate(
+            [enc.Param("w", (3, BLOCK + 5), "head", None, "zeros"),
+             enc.Param("b", (11,), "head", None, "zeros")], seed=0)
+        for _, tensor in reg.items():
+            tensor.data[...] = rng.standard_normal(tensor.shape)
         ref = {n: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
                for n, t in reg.items()}
         opt = Adam(reg, lr=1e-2)

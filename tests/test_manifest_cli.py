@@ -1,4 +1,5 @@
 import csv
+import glob
 import io
 import os
 import tempfile
@@ -68,12 +69,6 @@ class TestParseManifest:
         a, b = parse_manifest(path)
         assert not a.policy.embeddings_trainable
         assert b.policy.embeddings_trainable
-
-    def test_explicit_embedding_override(self, tmp_path):
-        path = write_manifest(
-            tmp_path, "[a]\nlayers_trainable = 2\nembeddings_trainable = no\n")
-        spec, = parse_manifest(path)
-        assert not spec.policy.embeddings_trainable
 
     def test_bert_base_preset_with_adapter(self, tmp_path):
         path = write_manifest(
@@ -146,9 +141,21 @@ class TestParseManifest:
             parse_manifest(path)
 
     def test_shipped_manifests_parse(self):
-        for name in ("table1.cfg", "table2.cfg", "desk.cfg"):
-            specs = parse_manifest(os.path.join(REPO, "manifests", name))
-            assert specs
+        paths = glob.glob(os.path.join(REPO, "manifests", "*.cfg"))
+        assert len(paths) >= 3
+        for path in paths:
+            assert parse_manifest(path), path
+
+    # each had one value in use, the preset's or the config class's
+    @pytest.mark.parametrize("key", [
+        "vocab_size", "hidden_size", "num_layers", "num_heads",
+        "intermediate_size", "max_answer_len", "unanswerable_fraction",
+        "embeddings_trainable"])
+    def test_removed_key_is_unknown(self, tmp_path, key):
+        path = write_manifest(tmp_path, f"[a]\n{key} = 1\n")
+        with pytest.raises(ManifestError,
+                           match=f'^\\[a\\] unknown key "{key}"'):
+            parse_manifest(path)
 
 
 class TestCount:
@@ -386,6 +393,8 @@ class TestRun:
         with open(out / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["label"] for r in rows] == ["tiny-full"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "loss_tiny-frozen.csv", "loss_tiny-full.csv", "report.csv"]
 
     def test_empty_manifest_exits_1_and_writes_no_report(self, tmp_path,
                                                          capsys):
@@ -487,12 +496,9 @@ class TestRun:
 
 
 INVALID_BODIES = ["batch_size = 0", "epochs = 0", "adapter_size = 0",
-                  "num_heads = 0", "hidden_size = 0",
-                  "unanswerable_fraction = 2", "dataset_len = 1",
-                  "vocab_size = 1", "dataset_count = -3", "seed = -1",
+                  "dataset_len = 1", "dataset_count = -3", "seed = -1",
                   "learning_rate = nan", "learning_rate = inf",
                   "learning_rate = 0", "learning_rate = -1",
-                  "max_answer_len = 0", "max_answer_len = -5",
                   "n_f = 8\nw_c = 3\nvariant = bogus"]
 
 
@@ -508,6 +514,39 @@ def test_invalid_manifest_exits_1_with_a_message(tmp_path, capsys, command,
     assert err.startswith("error: [bad] ")
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out" / "report.csv")
+
+
+# a tensor past numpy's address space fails both commands before any work;
+# one that fits it but not memory is a runtime error of run alone
+@pytest.mark.parametrize("command", ["count", "run"])
+@pytest.mark.parametrize("body, tensor", [
+    ("max_seq_len", "embeddings.position"),
+    ("adapter_size", "layer0.adapter_attn.down_w"),
+    ("head = cacnn\nw_c = 3\nm = 4\nK", "cacnn.head_w"),
+], ids=["max_seq_len", "adapter_size", "K"])
+def test_unaddressable_parameter_exits_1(tmp_path, capsys, command, body,
+                                         tensor):
+    manifest = write_manifest(tmp_path, f"[big]\n{body} = {10**18}\n")
+    flag = "--config" if command == "count" else "--manifest"
+    out = tmp_path / "out"
+    assert cli.main([command, flag, manifest, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [big] parameter {tensor} of shape (")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_unallocatable_parameter_counts_but_fails_the_run_with_exit_2(
+        tmp_path, capsys):
+    manifest = write_manifest(tmp_path, f"[big]\nmax_seq_len = {10**12}\n"
+                              "dataset_count = 8\nepochs = 1\n")
+    out = tmp_path / "out"
+    assert cli.main(["count", "--config", manifest, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", "--manifest", manifest, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: [big] Unable to allocate ")
+    assert not (out / "report.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["count", "run", "plotdata"])
@@ -672,6 +711,14 @@ class TestWriteCsv:
         with pytest.raises(RuntimeError, match="interrupted"):
             cli._write_csv(str(path), ["label"], rows())
         assert path.read_bytes() == b"label\nold\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
+
+    def test_failed_rename_removes_the_temporary_file(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.mkdir()  # a directory: the rename onto it fails
+        with pytest.raises(OSError):
+            cli._write_csv(str(path), ["step"], [{"step": 0}])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv"]
 
 
 class TestGradcheckCommand:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peftlab.span import (SpanExample, SpanPrediction, decode_span,
-                          generate_dataset, score)
+from peftlab.span import (SpanExample, SpanPrediction, check_request,
+                          decode_span, generate_dataset, score)
 
 from oracles import count_occurrences_loops, decode_span_enumeration
 
@@ -61,6 +61,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_dataset(seed=0, count=1, seq_len=32, vocab_size=64,
                              unanswerable_fraction=1.5)
+
+    def test_one_word_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="^vocab_size 1 leaves too few "
+                           "word ids$"):
+            check_request(32, vocab_size=1, unanswerable_fraction=1 / 3)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_request_rejected(self, count):

@@ -103,10 +103,12 @@ class TestTrain:
 class TestAdam:
     def test_matches_textbook_reference_bitwise(self):
         rng = np.random.default_rng(7)
-        reg = enc.ParameterRegistry()
         shapes = {"w": (6, 5), "b": (5,), "f": (2, 3, 4)}
-        for name, shape in shapes.items():
-            reg.add(name, rng.standard_normal(shape))
+        reg = enc.ParameterRegistry().allocate(
+            [enc.Param(name, shape, "head", None, "zeros")
+             for name, shape in shapes.items()], seed=0)
+        for _, tensor in reg.items():
+            tensor.data[...] = rng.standard_normal(tensor.shape)
         ref = {n: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
                for n, t in reg.items()}
         opt = Adam(reg, lr=1e-2)
@@ -173,6 +175,13 @@ class TestEvaluate:
         _, _, t_small = evaluate(model, small, TrainConfig())
         _, _, t_large = evaluate(model, large, TrainConfig())
         assert t_large > t_small
+
+
+@pytest.mark.parametrize("max_answer_len", [0, -5])
+def test_train_config_rejects_a_max_answer_len_below_1(max_answer_len):
+    with pytest.raises(ValueError, match=f"^max_answer_len must be >= 1, got "
+                       f"{max_answer_len}$"):
+        TrainConfig(max_answer_len=max_answer_len)
 
 
 class TestEfficiencyRatio:
