@@ -14,25 +14,25 @@ closure keeps only the arrays its own gradient formulas read, chosen when
 the op is recorded from which operands need a gradient: matmul keeps ``a``
 only if ``b`` needs a gradient and ``b`` only if ``a`` does; add, scale,
 reshape, transpose, concat and split keep only shapes; layer_norm keeps the
-normalised input, not the input; attention keeps no score-sized array,
-only q, k, v (v only if q or k needs a gradient), its output and two row
-statistics per head and query, and its backward recomputes the exps group
-by group, bit for bit, so q, k and v must not change between the forward
-and the backward. An activation is therefore freed as soon as the forward
-code drops it, unless some backward reads it. Because the choice
-is made at record time, changing ``requires_grad`` after the forward can
-only remove gradients: a leaf frozen before ``backward()`` gets none, and a
-leaf that was frozen during the forward gets none either.
+normalised input, not the input; attention keeps no score-sized array, only
+q, k, v, its output and two row statistics per head and query, and its
+backward recomputes the exps group by group, bit for bit, so q, k and v must
+not change between the forward and the backward. An activation is therefore
+freed as soon as the forward code drops it, unless some backward reads it.
+Because the choice is made at record time, changing ``requires_grad`` after
+the forward can only remove gradients: a leaf frozen before ``backward()``
+gets none, and a leaf that was frozen during the forward gets none either.
 
 Backward computes only gradients that are kept: an op skips every operand
-that needs no gradient, so frozen weights cost no weight-gradient work. A
-node or a leaf adopts the first gradient array it is handed, and several
-may share one (``add(a, b)`` hands ``a`` and ``b`` the same array), so
-``.grad`` arrays are read-only: no op mutates a gradient in place, and
-accumulation always builds a new array. Only the root's explicit output
-gradient is copied, because the caller keeps it. Each node drops its
-gradient once its backward has run, so after ``backward()`` only leaves hold
-gradients (an output Tensor's own ``.grad`` stays None).
+that needs no gradient, so frozen weights cost no weight-gradient work. Only
+attention computes all three gradients, as models train q, k and v together,
+and hands on each that is needed. A node or a leaf adopts the first gradient
+array it is handed, and several may share one (``add(a, b)`` hands ``a`` and
+``b`` the same array), so ``.grad`` arrays are read-only: no op mutates a
+gradient in place, and accumulation always builds a new array. Only the
+root's explicit output gradient is copied, because the caller keeps it. Each
+node drops its gradient once its backward has run, so after ``backward()``
+only leaves hold gradients (an output Tensor's own ``.grad`` stays None).
 
 Every operand is a Tensor; ids and targets are plain integer arrays. Every op
 takes optional leading batch axes, so one graph serves a whole mini-batch: a
@@ -462,7 +462,8 @@ def attention(q, k, v, num_heads, scale):
     output, m and z. Its backward walks the same groups and recomputes each
     group's exps with the same numpy calls on the same operands, so bit for
     bit; q, k and v must therefore not change between the forward and the
-    backward. The softmax correction rowsum(dP∘P) is taken as rowsum(dO∘O)
+    backward. It computes all three gradients and hands on each that is
+    needed. The softmax correction rowsum(dP∘P) is taken as rowsum(dO∘O)
     per head (Dao et al. 2022, FlashAttention). Each head's arithmetic, and
     so its result, is the same at every group size.
     """
@@ -503,47 +504,34 @@ def attention(q, k, v, num_heads, scale):
     rows = np.swapaxes(out, 1, 2)  # memory order, so no ufunc buffering
     rows /= np.swapaxes(z, 1, 2)
     q_shape, kv_shape = q.data.shape, k.data.shape
-    # every gradient reads the exps, so q and k are kept to recompute them;
-    # q's and k's gradients also read v and the output
-    scores_grad = vq is not None or vk is not None
-    vf, kept_out = (vf, out) if scores_grad else (None, None)
 
     def backward(g):
         g = heads(g)
-        gq = heads(np.empty(q_shape)) if _needs_grad(vq) else None
+        gq, gv = heads(np.empty(q_shape)), heads(np.empty(kv_shape))
         # k's gradient is made transposed, as [N, A, d, L']; taken directly
         # as gsᵀ @ q, it would round differently
-        gkt = np.empty((N, A, d, Lk)) if _needs_grad(vk) else None
-        gv = heads(np.empty(kv_shape)) if _needs_grad(vv) else None
-        qs, e_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
-        if gq is not None or gkt is not None:
-            gs_buf = np.empty((n, L, Lk))
+        gkt = np.empty((N, A, d, Lk))
+        qs, e_buf, gs_buf = np.empty((n, L, d)), *np.empty((2, n, L, Lk))
         with _one_blas_thread():
             for sl in slices:
                 es = scores(sl, qs, e_buf)
                 es -= m[sl]
                 np.exp(es, out=es)
                 gz = g[sl] / z[sl]                      # dO / z
-                if gv is not None:
-                    np.matmul(np.swapaxes(es, -1, -2), gz, out=gv[sl])
-                if gq is None and gkt is None:
-                    continue
-                dot = (gz * kept_out[sl]).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
+                np.matmul(np.swapaxes(es, -1, -2), gz, out=gv[sl])
+                dot = (gz * out[sl]).sum(axis=-1, keepdims=True)  # rowsum(dP∘P)/z
                 gs = gs_buf[:len(es)]
                 np.matmul(gz, np.swapaxes(vf[sl], -1, -2), out=gs)
                 gs -= dot
                 gs *= es                                # d (scaled) scores
-                if gq is not None:
-                    np.matmul(gs, kf[sl], out=gq[sl])
-                if gkt is not None:
-                    np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
-        for grad in (gq, gkt):
-            if grad is not None:
-                grad *= scale
-        gk = None if gkt is None else np.swapaxes(gkt, -1, -2)
-        for vt, grad, shape in ((vq, gq, q_shape), (vk, gk, kv_shape),
+                np.matmul(gs, kf[sl], out=gq[sl])
+                np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
+        gq *= scale
+        gkt *= scale
+        for vt, grad, shape in ((vq, gq, q_shape),
+                                (vk, np.swapaxes(gkt, -1, -2), kv_shape),
                                 (vv, gv, kv_shape)):
-            if grad is not None:  # [N, L, A, d] reshapes without a copy
+            if _needs_grad(vt):  # [N, L, A, d] reshapes without a copy
                 _accumulate(vt, np.swapaxes(grad, 1, 2).reshape(shape))
 
     return _node(rows.reshape(q_shape), (vq, vk, vv), backward)
@@ -563,8 +551,6 @@ def layer_norm(x, gain, bias):
     out = xhat * gain.data + bias.data
     vx, vgain, vbias = _vertex(x), _vertex(gain), _vertex(bias)
     gain_data = gain.data
-    if vx is None and vgain is None:  # only their gradients read xhat
-        xhat = None
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
@@ -632,8 +618,6 @@ def conv1d(x, filters, padding):
     vx, vf = _vertex(x), _vertex(filters)
     f_shape, xp_shape = filters.data.shape, xp.shape
     flat_filters = filters.data.reshape(f_shape[:-2] + (-1,))
-    if vf is None:  # only the filters' gradient reads the padded input
-        xp = None
 
     def backward(g):
         if _needs_grad(vf):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import math
 import os
 import sys
 
@@ -25,9 +26,10 @@ COUNT_COLUMNS = ["label", "layers_trained", "adapter_size", "trainable_params",
                  "em", "f1", "train_seconds", "inference_seconds"]
 REPORT_COLUMNS = COUNT_COLUMNS + ["efficiency_ratio"]
 # the columns plotdata projects: how each must parse, and what it must be
-PLOT_COLUMNS = {"trainable_params": (int, "an integer"),
-                "f1": (float, "a number"), "train_seconds": (float, "a number"),
-                "inference_seconds": (float, "a number")}
+PLOT_COLUMNS = {"trainable_params": (int, "an integer >= 0"),
+                "f1": (float, "a finite number >= 0"),
+                "train_seconds": (float, "a finite number >= 0"),
+                "inference_seconds": (float, "a finite number >= 0")}
 
 
 def _fail(code, message):
@@ -201,7 +203,8 @@ def cmd_plotdata(args):
         for row in report.values():
             for column, (parse, kind) in PLOT_COLUMNS.items():
                 try:
-                    parse(row[column])
+                    if not 0 <= parse(row[column]) < math.inf:  # nan fails too
+                        raise ValueError
                 except (TypeError, ValueError):
                     return _fail(EXIT_VALIDATION,
                                  f"{path}: row {row['label']!r}: {column} "

@@ -17,7 +17,8 @@ from .encoder import (AFFINE_SPAN, AdapterConfig, EncoderConfig, FreezePolicy,
 from .span import UNANSWERABLE_FRACTION, check_request
 from .trainer import TrainConfig
 
-LABEL_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+MAX_LABEL = 242  # so loss_<label>.csv.tmp fits a 255-byte file name
+LABEL_RE = re.compile(rf"^[A-Za-z0-9_-]{{1,{MAX_LABEL}}}$")
 
 # manifest key -> (field, kind), one table per config class the keys set. A
 # key a section leaves out keeps its class's default (for the encoder, the
@@ -82,6 +83,9 @@ def parse_manifest(path):
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot parse {path}: {exc}") from exc
+    if parser.defaults():  # it would set its keys in every experiment
+        raise ManifestError(f"{path}: [{parser.default_section}] is not an "
+                            "experiment; set each key in its own section")
     if not parser.sections():
         raise ManifestError(f"{path}: no experiments")
 
@@ -89,8 +93,8 @@ def parse_manifest(path):
     for label in parser.sections():
         if not LABEL_RE.match(label):
             raise ManifestError(
-                f"label {label!r} invalid; allowed characters are [A-Za-z0-9_-]"
-            )
+                f"label {label!r} invalid; a label is 1 to {MAX_LABEL} of "
+                "the characters [A-Za-z0-9_-]")
         section = dict(parser.items(label))
         for key in section:
             if key not in KNOWN_KEYS:

@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,17 @@ from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, EncoderConfig,
                              FreezePolicy, bert_base_config, build_encoder,
                              desk_config)
+from peftlab.manifest import parse_manifest
 from peftlab.trainer import Adam, TrainConfig, build_model, example_loss, train
 from peftlab.span import generate_dataset
 
 from oracles import build_cacnn_reference, build_encoder_reference
 
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DESK_SPECS = parse_manifest(os.path.join(REPO, "manifests", "desk.cfg"))
+FOUR_LAYER_ADAPTER = replace(desk_config(adapter=AdapterConfig(8)),
+                             num_layers=4)
 
 TINY = EncoderConfig(vocab_size=16, hidden_size=8, num_layers=2, num_heads=2,
                      intermediate_size=16, max_seq_len=12)
@@ -207,6 +216,26 @@ class TestBatchAxis:
         assert ops.count("reshape") == 2    # ... read out as [B, L] each
         assert "concat" not in ops and "softmax" not in ops
         assert "transpose" not in ops       # attention splits its own heads
+
+    # attention computes q's, k's and v's gradients together: a recorded node
+    # without all three as parents would do work that nothing reads
+    @pytest.mark.parametrize("config, policy, head", [
+        *((s.encoder_config, s.policy, s.head) for s in DESK_SPECS),
+        *((FOUR_LAYER_ADAPTER, FreezePolicy(k, k == 4), AFFINE_SPAN)
+          for k in range(5)),
+    ], ids=[s.label for s in DESK_SPECS] + [f"A8-4layers-k{k}"
+                                             for k in range(5)])
+    def test_every_attention_node_has_q_k_and_v_as_parents(
+            self, config, policy, head):
+        from peftlab import autograd as ag
+        from peftlab.span import stack
+        model = build_model(config, policy, head, 0)
+        ds = generate_dataset(seed=0, count=8, seq_len=32, vocab_size=64)
+        loss = example_loss(model, stack(ds))
+        nodes = [n for n in ag._toposort(loss) if n._backward is not None
+                 and n._backward.__qualname__.startswith("attention.")]
+        assert len(nodes) == config.num_layers
+        assert all(len(n._parents) == 3 for n in nodes)
 
 
 CACNN_VARIANTS = [

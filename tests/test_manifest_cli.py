@@ -516,6 +516,41 @@ def test_invalid_manifest_exits_1_with_a_message(tmp_path, capsys, command,
     assert not os.path.exists(tmp_path / "out" / "report.csv")
 
 
+# a label too long for loss_<label>.csv.tmp, and a [DEFAULT] section, whose
+# keys would reach every experiment, fail both commands before any training
+@pytest.mark.parametrize("command", ["count", "run"])
+@pytest.mark.parametrize("text, message", [
+    (f"[{'a' * 243}]\nepochs = 1\n", "1 to 242 of the characters"),
+    ("[DEFAULT]\nbogus = 1\n[a]\n", "[DEFAULT] is not an experiment"),
+    ("[DEFAULT]\nepochs = 1\n[a]\n", "[DEFAULT] is not an experiment"),
+], ids=["long-label", "default-unknown-key", "default-known-key"])
+def test_manifest_rejected_before_any_training(tmp_path, capsys, command,
+                                               text, message):
+    manifest = write_manifest(tmp_path, text)
+    flag = "--config" if command == "count" else "--manifest"
+    out = tmp_path / "out"
+    assert cli.main([command, flag, manifest, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["count", "run"])
+def test_longest_label_counts_and_runs(tmp_path, capsys, command):
+    label = "a" * 242
+    manifest = write_manifest(tmp_path, f"[{label}]\ndataset_count = 8\n"
+                              "dataset_len = 24\nepochs = 1\n")
+    flag = "--config" if command == "count" else "--manifest"
+    out = tmp_path / "out"
+    assert cli.main([command, flag, manifest, "--out", str(out)]) == 0
+    if command == "run":
+        assert (out / f"loss_{label}.csv").exists()
+    with open(out / ("counts.csv" if command == "count" else "report.csv"),
+              newline="") as fh:
+        assert [row["label"] for row in csv.DictReader(fh)] == [label]
+
+
 # a tensor past numpy's address space fails both commands before any work;
 # one that fits it but not memory is a runtime error of run alone
 @pytest.mark.parametrize("command", ["count", "run"])
@@ -636,7 +671,7 @@ class TestPlotdata:
             f"error: {report}: label 'x' appears twice\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("params", ["12.5", None])
+    @pytest.mark.parametrize("params", ["12.5", "-5", None])
     def test_non_integer_trainable_params_rejected_before_writing(
             self, tmp_path, capsys, params):
         bad = tmp_path / "bad.csv"
@@ -658,7 +693,8 @@ class TestPlotdata:
     # counts.csv has every report column but leaves the run's ones blank
     @pytest.mark.parametrize("column, value", [
         ("f1", ""), ("train_seconds", ""), ("inference_seconds", ""),
-        ("f1", "sixty"),
+        ("f1", "sixty"), ("f1", "nan"), ("train_seconds", "inf"),
+        ("inference_seconds", "-1"), ("f1", "-inf"),
     ])
     def test_non_numeric_value_rejected_before_writing(
             self, tmp_path, capsys, column, value):
@@ -673,7 +709,8 @@ class TestPlotdata:
         code = cli.main(["plotdata", str(bad), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {bad}: row 'x': {column} {value!r} is not a number\n")
+            f"error: {bad}: row 'x': {column} {value!r} is not a finite "
+            "number >= 0\n")
         assert not out.exists()
 
     def test_missing_column_rejected(self, tmp_path, capsys):
