@@ -73,8 +73,8 @@ def check_gradients(fn, tensors):
     return worst
 
 
-def random_tensor(rng, shape, scale=1.0):
-    return ag.Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
+def random_tensor(rng, shape):
+    return ag.Tensor(rng.standard_normal(shape), requires_grad=True)
 
 
 def _op_checks(rng):
@@ -181,14 +181,9 @@ def _composite_checks(rng):
                encoder + head_params)
 
 
-def run_suite(seed=0, include_composites=True):
-    """Run every check; returns a list of (name, max_rel_err, passed)."""
+def run_suite(seed=0):
+    """Run every op check, then every composite: [(name, max_rel_err, ok)]."""
     rng = np.random.default_rng(seed)
-    results = []
-    checks = list(_op_checks(rng))
-    if include_composites:
-        checks += list(_composite_checks(rng))
-    for name, fn, tensors in checks:
-        err = check_gradients(fn, tensors)
-        results.append((name, err, err < TOLERANCE))
-    return results
+    checks = [*_op_checks(rng), *_composite_checks(rng)]
+    errors = [(name, check_gradients(fn, ts)) for name, fn, ts in checks]
+    return [(name, err, err < TOLERANCE) for name, err in errors]

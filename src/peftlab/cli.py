@@ -174,15 +174,11 @@ def _write_report(path, specs, rows):
 
 
 def cmd_gradcheck(args):
-    if args.seed < 0:
-        return _fail(EXIT_VALIDATION, f"--seed must be >= 0, got {args.seed}")
     if args.seeds < 1:
         return _fail(EXIT_VALIDATION, f"--seeds must be >= 1, got {args.seeds}")
     failures = 0
-    for seed in range(args.seed, args.seed + args.seeds):
-        results = checks.run_suite(seed=seed,
-                                   include_composites=not args.ops_only)
-        for name, err, passed in results:
+    for seed in range(args.seeds):
+        for name, err, passed in checks.run_suite(seed):
             status = "PASS" if passed else "FAIL"
             print(f"{status} {name} seed={seed} max_rel_err={err:.3e}")
             failures += not passed
@@ -216,22 +212,27 @@ def cmd_plotdata(args):
         return _fail(EXIT_VALIDATION, f"duplicate labels: {', '.join(duplicates)}")
 
     by_params = sorted(rows, key=lambda r: int(r["trainable_params"]))
+    paths = []
     try:
         os.makedirs(args.out, exist_ok=True)
         for name, x, ordered in [
                 ("train_time_vs_f1.csv", "train_seconds", rows),
                 ("inference_time_vs_f1.csv", "inference_seconds", rows),
                 ("params_vs_f1.csv", "trainable_params", by_params)]:
-            path = os.path.join(args.out, name)
-            _write_csv(path, ["label", x, "f1"], ordered)
-            print(f"wrote {path}")
+            paths.append(os.path.join(args.out, name))
+            _write_csv(paths[-1], ["label", x, "f1"], ordered)
     except OSError as exc:
         return _fail(EXIT_VALIDATION, exc)
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is a validation error: exit 1, not argparse's 2."""
+    """A usage error, an abbreviated flag too, exits 1, not argparse's 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -258,10 +259,7 @@ def build_parser():
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds")
-    p.add_argument("--ops-only", action="store_true",
-                   help="skip the model composite checks")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("plotdata", help="project report CSVs into plot CSVs")
@@ -274,7 +272,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early: devnull keeps the flush at exit silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

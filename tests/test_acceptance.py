@@ -91,8 +91,7 @@ def test_2_gradient_correctness():
     worst = 0.0
     failures = []
     for seed in range(10):
-        for name, err, passed in checks.run_suite(seed=seed,
-                                                  include_composites=True):
+        for name, err, passed in checks.run_suite(seed):
             worst = max(worst, err)
             if not passed:
                 failures.append(f"{name}@{seed}")

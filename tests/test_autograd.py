@@ -200,11 +200,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ag.split(Tensor(np.zeros((2, 4))), [1, 2])
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_all_ops_gradient(self, seed):
-        for name, err, passed in run_suite(seed=seed, include_composites=False):
-            assert passed, f"{name}: max rel err {err:.3e}"
-
 
 class TestGradientCheck:
     def test_sees_a_gradient_error_orthogonal_to_ones(self):
@@ -236,7 +231,7 @@ class TestGradientCheck:
                   and getattr(obj, "__module__", None) == ag.__name__}
         non_ops = {"Tensor", "ShapeError", "no_grad", "blockwise"}
         assert non_ops <= public
-        checked = [name for name, _, _ in run_suite(include_composites=False)]
+        checked = [name for name, _, _ in run_suite()]
         unchecked = [op for op in sorted(public - non_ops)
                      if not any(c == op or c.startswith(op + "_")
                                 for c in checked)]

@@ -2,6 +2,8 @@ import csv
 import glob
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -629,6 +631,87 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert "usage: peftlab" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,flag", [("count", "--conf"),
+                                              ("run", "--man")])
+    def test_abbreviated_flag_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, command, flag):
+        manifest = write_manifest(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, manifest, "--out", str(out)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: peftlab {command}")
+        assert f"peftlab {command}: error: " in err
+        assert not out.exists()
+
+
+def run_with_closed_stdout(*argv, unbuffered=False):
+    """Run ``python -m peftlab.cli argv`` with its stdout a pipe whose read
+    end is closed, as ``peftlab ... | true`` leaves it."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"),
+               PYTHONUNBUFFERED="1" if unbuffered else "")
+    try:
+        return subprocess.run([sys.executable, "-m", "peftlab.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=300)
+    finally:
+        os.close(write)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early makes any command exit 1 with
+    nothing on stderr, after it has written every file whole."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_count(self, tmp_path, unbuffered):
+        table1 = os.path.join(REPO, "manifests", "table1.cfg")
+        assert cli.main(["count", "--config", table1,
+                         "--out", str(tmp_path / "plain")]) == 0
+        proc = run_with_closed_stdout("count", "--config", table1, "--out",
+                                      str(tmp_path / "pipe"),
+                                      unbuffered=unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert ((tmp_path / "pipe" / "counts.csv").read_bytes()
+                == (tmp_path / "plain" / "counts.csv").read_bytes())
+
+    def test_run_with_new_rows_then_all_reused(self, tmp_path):
+        manifest = write_manifest(tmp_path, SMALL_RUN)
+        report = tmp_path / "out" / "report.csv"
+        proc = run_with_closed_stdout("run", "--manifest", manifest,
+                                      "--out", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        with open(report, newline="") as fh:
+            assert [r["label"] for r in csv.DictReader(fh)] == [
+                "tiny-full", "tiny-frozen"]
+        first = report.read_bytes()
+        proc = run_with_closed_stdout("run", "--manifest", manifest,
+                                      "--out", str(tmp_path / "out"))
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        assert report.read_bytes() == first
+
+    def test_plotdata_unbuffered_writes_all_three_files(self, tmp_path):
+        report = tmp_path / "report.csv"
+        report.write_text("label,trainable_params,f1,train_seconds,"
+                          "inference_seconds\nx,10,60,1,0.5\ny,5,50,2,1\n")
+        assert cli.main(["plotdata", str(report),
+                         "--out", str(tmp_path / "plain")]) == 0
+        proc = run_with_closed_stdout("plotdata", str(report), "--out",
+                                      str(tmp_path / "pipe"), unbuffered=True)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        names = sorted(os.listdir(tmp_path / "plain"))
+        assert len(names) == 3
+        assert sorted(os.listdir(tmp_path / "pipe")) == names
+        for name in names:
+            assert ((tmp_path / "pipe" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
+    def test_gradcheck(self):
+        proc = run_with_closed_stdout("gradcheck")
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
 
 class TestPlotdata:
     def write_report(self, tmp_path, name, labels):
@@ -766,14 +849,18 @@ class TestGradcheckCommand:
         assert captured.err.startswith(f"error: --seeds must be >= 1, got {seeds}")
         assert "PASS" not in captured.out
 
-    def test_negative_seed_exits_1(self, capsys):
-        assert cli.main(["gradcheck", "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: --seed must be >= 0, got -1\n"
-        assert captured.out == ""
+    def test_removed_flags_exit_1(self, capsys):
+        # the suite has one mode, and its seeds are always 0 ... --seeds - 1
+        for flags in (["--ops-only"], ["--seed", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["gradcheck", *flags])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert "unrecognized arguments" in captured.err
+            assert captured.out == ""
 
     def test_all_pass_exit_zero(self, capsys):
-        assert cli.main(["gradcheck", "--ops-only"]) == 0
+        assert cli.main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
@@ -796,7 +883,7 @@ class TestGradcheckCommand:
             return out
 
         monkeypatch.setattr(checks.ag, "gelu", broken_gelu)
-        assert cli.main(["gradcheck", "--ops-only"]) == 2
+        assert cli.main(["gradcheck"]) == 2
         out = capsys.readouterr().out
         assert any(line.startswith("FAIL") and "gelu" in line
                    for line in out.splitlines())
