@@ -38,9 +38,10 @@ Every operand is a Tensor; ids and targets are plain integer arrays. Every op
 takes optional leading batch axes, so one graph serves a whole mini-batch: a
 single example is a batch with no leading axis. ``add`` broadcasts over
 leading axes only, so one operand's shape must end the other's (a bias [N], a
-position table [L, H]). Only the operations the encoder, adapter, and
-convolutional heads need are provided, plus softmax and transpose, which no
-model calls (they stay for the bench tracer and gradcheck).
+position table [L, H]). Only the operations the models need are provided:
+``transpose`` swaps the last two axes and reads a span head's [..., L, 2]
+product out as [..., 2, L]. ``softmax`` is the one op no model calls; it
+stays for the bench tracer and gradcheck.
 """
 
 from __future__ import annotations
@@ -355,13 +356,14 @@ def reshape(x, shape):
 
 
 def transpose(x):
-    """Reverse every axis, as numpy's ``.T``."""
+    """Swap the last two axes. Both directions make a C-order copy, so sums
+    over the result or its gradient run as over an array made that way."""
     vx = _vertex(x)
 
     def backward(g):
-        _accumulate(vx, g.T)
+        _accumulate(vx, np.swapaxes(g, -1, -2).copy())
 
-    return _node(x.data.T, (vx,), backward)
+    return _node(np.swapaxes(x.data, -1, -2).copy(), (vx,), backward)
 
 
 def concat(tensors):

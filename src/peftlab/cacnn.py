@@ -118,6 +118,6 @@ def forward(x, registry, config):
 
 
 def head_logits(feature_maps, registry):
-    """Affine K -> 2 per position; returns (start_logits, end_logits)."""
+    """Affine K -> 2 per position; returns [..., 2, L] start/end logits."""
     return start_end_logits(feature_maps, registry["cacnn.head_w"],
                             registry["cacnn.head_b"])

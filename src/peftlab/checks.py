@@ -130,6 +130,8 @@ def _op_checks(rng):
     batch_logits = random_tensor(rng, (3, 7))
     yield "cross_entropy_batched", lambda: ag.cross_entropy_from_logits(
         batch_logits, np.array([2, 0, 6])), [batch_logits]
+    # reuses xb, because a new draw would shift every composite input below
+    yield "transpose_3d", lambda: ag.transpose(xb), [xb]
 
 
 def _composite_checks(rng):

@@ -288,15 +288,13 @@ def forward(registry, config, tokens, segments):
 
 
 def start_end_logits(features, w, b):
-    """Per-position affine features [..., L,F] -> 2, read out as the
-    (start_logits, end_logits) pair, each [..., L]."""
-    start, end = ag.split(ag.add(ag.matmul(features, w), b), [1, 1])
-    lead = features.shape[:-1]
-    return ag.reshape(start, lead), ag.reshape(end, lead)
+    """Per-position affine features [..., L,F] -> 2, read out as one
+    [..., 2, L] tensor: row 0 holds the start logits, row 1 the end logits."""
+    return ag.transpose(ag.add(ag.matmul(features, w), b))
 
 
 def span_head_logits(registry, sequence_output):
-    """Per-position affine hidden -> 2; returns (start_logits, end_logits)."""
+    """Per-position affine hidden -> 2; returns [..., 2, L] start/end logits."""
     return start_end_logits(sequence_output, registry["head.w"],
                             registry["head.b"])
 

@@ -105,7 +105,7 @@ class Model:
     head: object = enc.AFFINE_SPAN  # or a CacnnConfig
 
     def span_logits(self, batch):
-        """Start and end logits [..., L] of one example or a stacked batch."""
+        """Start and end logits [..., 2, L] of one example or a stacked batch."""
         x = enc.forward(self.registry, self.config, batch.tokens, batch.segments)
         if self.head == enc.AFFINE_SPAN:
             return enc.span_head_logits(self.registry, x)
@@ -131,7 +131,6 @@ def build_model(config, policy, head, seed):
 
 @dataclass
 class TrainResult:
-    model: Model
     loss_history: list  # (step, epoch, loss)
     train_seconds: float
 
@@ -141,12 +140,9 @@ def example_loss(model, batch):
 
     ``batch`` is one SpanExample or a stacked batch of them (``span.stack``).
     """
-    start_logits, end_logits = model.span_logits(batch)
-    gold = np.asarray(batch.gold_span)
-    starts, ends = gold[..., 0], gold[..., 1]
-    loss = ag.add(ag.cross_entropy_from_logits(start_logits, starts),
-                  ag.cross_entropy_from_logits(end_logits, ends))
-    return ag.scale(loss, 0.5 / starts.size)
+    gold = np.asarray(batch.gold_span)  # [..., 2], as the logits' rows
+    loss = ag.cross_entropy_from_logits(model.span_logits(batch), gold)
+    return ag.scale(loss, 1.0 / gold.size)
 
 
 def train(model, dataset, train_config):
@@ -171,7 +167,7 @@ def train(model, dataset, train_config):
             history.append((step, epoch, loss_val))
             step += 1
     train_seconds = time.monotonic() - t0
-    return TrainResult(model, history, train_seconds)
+    return TrainResult(history, train_seconds)
 
 
 def evaluate(model, dataset, train_config):
@@ -185,8 +181,7 @@ def evaluate(model, dataset, train_config):
         for lo in range(0, len(dataset), train_config.batch_size):
             batch = stack(dataset[lo:lo + train_config.batch_size])
             t0 = time.monotonic()
-            start_logits, end_logits = model.span_logits(batch)
-            for start, end in zip(start_logits.data, end_logits.data):
+            for start, end in model.span_logits(batch).data:
                 predictions.append(decode_span(start, end,
                                                train_config.max_answer_len))
             seconds += time.monotonic() - t0

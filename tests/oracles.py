@@ -2,13 +2,18 @@
 
 These deliberately share no code with the library: plain Python loops over
 numpy scalars, or textbook whole-array expressions, so they can serve as
-oracles for the vectorized and in-place paths.
+oracles for the vectorized and in-place paths. The one exception is
+``span_loss_split_readout``, the span loss on the library's own tape as it
+was read out before the heads returned one [..., 2, L] tensor.
 """
 
 import math
 
 import numpy as np
 
+from peftlab import autograd as ag
+from peftlab import cacnn
+from peftlab import encoder as enc
 from peftlab.encoder import SEGMENT_TYPES
 
 
@@ -250,3 +255,24 @@ def build_cacnn_reference(config, hidden_size, seed):
     params += [("cacnn.head_w", _truncated_normal(rng, (config.sample_filters, 2))),
                ("cacnn.head_b", np.zeros(2))]
     return params
+
+
+def span_loss_split_readout(model, batch):
+    """The span loss with the head's [..., L, 2] product split into columns,
+    each reshaped to [..., L], two cross-entropies added and scaled by
+    0.5 / examples. Returns (start_logits, end_logits, loss) tensors."""
+    reg = model.registry
+    x = enc.forward(reg, model.config, batch.tokens, batch.segments)
+    if model.head == enc.AFFINE_SPAN:
+        w, b = reg["head.w"], reg["head.b"]
+    else:
+        x = cacnn.forward(x, reg, model.head)
+        w, b = reg["cacnn.head_w"], reg["cacnn.head_b"]
+    start, end = ag.split(ag.add(ag.matmul(x, w), b), [1, 1])
+    lead = x.shape[:-1]
+    start, end = ag.reshape(start, lead), ag.reshape(end, lead)
+    gold = np.asarray(batch.gold_span)
+    starts, ends = gold[..., 0], gold[..., 1]
+    loss = ag.add(ag.cross_entropy_from_logits(start, starts),
+                  ag.cross_entropy_from_logits(end, ends))
+    return start, end, ag.scale(loss, 0.5 / starts.size)

@@ -200,6 +200,15 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ag.split(Tensor(np.zeros((2, 4))), [1, 2])
 
+    def test_transpose_swaps_the_last_two_axes_into_c_order_copies(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+        out = ag.transpose(x)
+        g = np.arange(24.0).reshape(2, 4, 3)
+        out.backward(g)
+        assert np.array_equal(out.data, np.swapaxes(x.data, 1, 2))
+        assert np.array_equal(x.grad, np.swapaxes(g, 1, 2))
+        assert out.data.flags.c_contiguous and x.grad.flags.c_contiguous
+
 
 class TestGradientCheck:
     def test_sees_a_gradient_error_orthogonal_to_ones(self):

@@ -171,9 +171,8 @@ class TestHeadLogits:
              Param("cacnn.head_b", (2,), "head", None, "zeros")], seed=0)
         reg["cacnn.head_w"].data[0, 0] = 1.0
         maps = ag.Tensor([[2.0], [5.0], [-1.0]])
-        start, end = cacnn.head_logits(maps, reg)
-        assert np.array_equal(start.data, [2.0, 5.0, -1.0])
-        assert np.array_equal(end.data, [0.0, 0.0, 0.0])
+        logits = cacnn.head_logits(maps, reg)
+        assert np.array_equal(logits.data, [[2.0, 5.0, -1.0], [0.0, 0.0, 0.0]])
 
     def test_affine_parameter_count(self):
         cfg = CacnnConfig(CONTEXT_VECTOR, 4, 2, 20, 1, context_width=2,
@@ -193,10 +192,8 @@ class TestHeadLogits:
                   reg["cacnn.context_filters"], reg["cacnn.head_w"]]
 
         def fn():
-            maps = cacnn.forward(x, reg, cfg)
-            start, end = cacnn.head_logits(maps, reg)
-            return ag.add(ag.cross_entropy_from_logits(start, 1),
-                          ag.cross_entropy_from_logits(end, 3))
+            logits = cacnn.head_logits(cacnn.forward(x, reg, cfg), reg)
+            return ag.cross_entropy_from_logits(logits, np.array([1, 3]))
 
         assert check_gradients(fn, params) < 1e-4
 
@@ -244,8 +241,8 @@ class TestPerSampleProperty:
                   reg["cacnn.context_filters"], reg["cacnn.head_w"]]
 
         def fn():
-            start, end = cacnn.head_logits(cacnn.forward(x, reg, cfg), reg)
-            return ag.add(ag.cross_entropy_from_logits(start, np.array([1, 4])),
-                          ag.cross_entropy_from_logits(end, np.array([3, 5])))
+            logits = cacnn.head_logits(cacnn.forward(x, reg, cfg), reg)
+            return ag.cross_entropy_from_logits(logits,
+                                                np.array([[1, 3], [4, 5]]))
 
         assert check_gradients(fn, params) < 1e-4

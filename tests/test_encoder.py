@@ -14,7 +14,8 @@ from peftlab.manifest import parse_manifest
 from peftlab.trainer import Adam, TrainConfig, build_model, example_loss, train
 from peftlab.span import generate_dataset
 
-from oracles import build_cacnn_reference, build_encoder_reference
+from oracles import (build_cacnn_reference, build_encoder_reference,
+                     span_loss_split_readout)
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -212,10 +213,22 @@ class TestBatchAxis:
         ops = [n._backward.__qualname__.split(".")[0]
                for n in ag._toposort(loss) if n._backward is not None]
         assert ops.count("attention") == cfg.num_layers
-        assert ops.count("split") == 2      # the head's start/end columns
-        assert ops.count("reshape") == 2    # ... read out as [B, L] each
+        assert ops.count("transpose") == 1  # the head's [B, L, 2] -> [B, 2, L]
+        assert ops.count("cross_entropy_from_logits") == 1
+        assert "split" not in ops and "reshape" not in ops
         assert "concat" not in ops and "softmax" not in ops
-        assert "transpose" not in ops       # attention splits its own heads
+
+    # recorded nodes of one training step, per desk.cfg row in file order
+    @pytest.mark.parametrize("spec, nodes",
+                             zip(DESK_SPECS, [47, 42, 42, 66, 52]),
+                             ids=[s.label for s in DESK_SPECS])
+    def test_nodes_per_training_step(self, spec, nodes):
+        from peftlab import autograd as ag
+        from peftlab.span import stack
+        model = build_model(spec.encoder_config, spec.policy, spec.head, 0)
+        ds = generate_dataset(seed=0, count=8, seq_len=64, vocab_size=64)
+        loss = example_loss(model, stack(ds))
+        assert sum(n._backward is not None for n in ag._toposort(loss)) == nodes
 
     # attention computes q's, k's and v's gradients together: a recorded node
     # without all three as parents would do work that nothing reads
@@ -245,6 +258,37 @@ CACNN_VARIANTS = [
     CacnnConfig(SIMPLIFIED, initial_filters=8, initial_width=3,
                 sample_filters=4, sample_width=3),
 ]
+
+
+class TestSpanReadout:
+    """The [B, 2, L] readout against the split one it replaced, on one
+    stacked desk batch with every parameter trainable."""
+
+    @pytest.mark.parametrize("head", [AFFINE_SPAN, *CACNN_VARIANTS],
+                             ids=["affine", "context_vector", "simplified"])
+    def test_same_logits_and_gradients_as_the_split_readout(self, head):
+        from peftlab.span import stack
+        cfg = desk_config()
+        model = build_model(cfg, FreezePolicy(cfg.num_layers, True), head, 0)
+        batch = stack(generate_dataset(seed=0, count=8, seq_len=64,
+                                       vocab_size=64,
+                                       unanswerable_fraction=1 / 3))
+
+        def gradients(loss):
+            for _, t in model.registry.items():
+                t.zero_grad()
+            loss.backward()
+            return {n: t.grad.tobytes() for n, t in model.registry.items()}
+
+        start, end, ref_loss = span_loss_split_readout(model, batch)
+        ref_grads = gradients(ref_loss)
+        logits = model.span_logits(batch).data
+        assert logits.shape == (8, 2, 64)
+        assert logits[:, 0].tobytes() == start.data.tobytes()
+        assert logits[:, 1].tobytes() == end.data.tobytes()
+        loss = example_loss(model, batch)
+        assert gradients(loss) == ref_grads
+        assert abs(loss.item() - ref_loss.item()) <= 1e-15 * ref_loss.item()
 
 
 def assert_same_parameters(reg, reference):

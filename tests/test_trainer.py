@@ -139,8 +139,7 @@ class _StubModel:
         from peftlab.span import SpanExample
         pairs = [self.logit_fn(SpanExample(t, s, tuple(g))) for t, s, g
                  in zip(batch.tokens, batch.segments, batch.gold_span)]
-        return (Tensor(np.stack([s for s, _ in pairs])),
-                Tensor(np.stack([e for _, e in pairs])))
+        return Tensor(np.stack([np.stack(pair) for pair in pairs]))
 
 
 class TestEvaluate:
