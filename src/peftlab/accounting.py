@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import cacnn as cacnn_mod
 from .encoder import AFFINE_SPAN, parameter_schema
 
 # Published figures that disagree with first-principles arithmetic; reported
@@ -40,10 +39,7 @@ class CountReport:
 
 def model_schema(config, head=AFFINE_SPAN):
     """Every parameter of the encoder and ``head``, in allocation order."""
-    schema = parameter_schema(config, include_head=head == AFFINE_SPAN)
-    if head != AFFINE_SPAN:
-        schema += cacnn_mod.parameter_schema(head, config.hidden_size)
-    return schema
+    return parameter_schema(config) + head.parameter_schema(config.hidden_size)
 
 
 def count(config, policy, head=AFFINE_SPAN):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autograd as ag
-from .encoder import Param, start_end_logits
+from . import encoder as enc
 
 CONTEXT_VECTOR = "context_vector"
 SIMPLIFIED = "simplified"
@@ -50,6 +50,35 @@ class CacnnConfig:
             raise ValueError("the simplified variant takes no context_width "
                              "or context_filters")
 
+    # encoder.AffineSpan's methods; they call module functions at call time
+    def parameter_schema(self, hidden_size):
+        """Every head parameter in allocation order."""
+        def head(name, shape, init):
+            return enc.Param(f"cacnn.{name}", shape, "head", None, init)
+
+        n_f = self.initial_filters
+        schema = [head("init_filters", (n_f, self.initial_width, hidden_size),
+                       "normal"),
+                  head("init_bias", (n_f,), "zeros")]
+        if self.variant == CONTEXT_VECTOR:
+            m = self.context_filters
+            schema += [head("context_filters", (m, self.context_width, 1),
+                            "normal"),
+                       head("context_bias", (m,), "zeros")]
+        return schema + [head("head_w", (self.sample_filters, 2), "normal"),
+                         head("head_b", (2,), "zeros")]
+
+    def validate(self, seq_len, hidden_size):
+        validate(self, seq_len, hidden_size)
+
+    def build(self, config, seed):
+        """The encoder from ``seed``, then this head from ``seed + 1``."""
+        registry = enc.build_encoder(config, seed, include_head=False)
+        return build_params(registry, self, config.hidden_size, seed + 1)
+
+    def logits(self, registry, sequence_output):
+        return head_logits(forward(sequence_output, registry, self), registry)
+
 
 def validate(config, seq_len, hidden_size):
     """Reject configs whose synthesized filters cannot be materialized."""
@@ -63,27 +92,9 @@ def validate(config, seq_len, hidden_size):
             )
 
 
-def parameter_schema(config, hidden_size):
-    """Every head parameter in allocation order."""
-    def head(name, shape, init):
-        return Param(f"cacnn.{name}", shape, "head", None, init)
-
-    n_f = config.initial_filters
-    schema = [head("init_filters", (n_f, config.initial_width, hidden_size),
-                   "normal"),
-              head("init_bias", (n_f,), "zeros")]
-    if config.variant == CONTEXT_VECTOR:
-        m = config.context_filters
-        schema += [head("context_filters", (m, config.context_width, 1),
-                        "normal"),
-                   head("context_bias", (m,), "zeros")]
-    return schema + [head("head_w", (config.sample_filters, 2), "normal"),
-                     head("head_b", (2,), "zeros")]
-
-
 def build_params(registry, config, hidden_size, seed):
     """Add the head's schema parameters to a registry."""
-    return registry.allocate(parameter_schema(config, hidden_size), seed)
+    return registry.allocate(config.parameter_schema(hidden_size), seed)
 
 
 def forward(x, registry, config):
@@ -119,5 +130,5 @@ def forward(x, registry, config):
 
 def head_logits(feature_maps, registry):
     """Affine K -> 2 per position; returns [..., 2, L] start/end logits."""
-    return start_end_logits(feature_maps, registry["cacnn.head_w"],
-                            registry["cacnn.head_b"])
+    return enc.start_end_logits(feature_maps, registry["cacnn.head_w"],
+                                registry["cacnn.head_b"])

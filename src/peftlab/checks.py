@@ -164,7 +164,7 @@ def _composite_checks(rng):
         # tolerance cannot tell them from zero; move every weight to unit order
         for _, t in reg.items():
             t.data += rng.standard_normal(t.shape) * 0.5
-        if head == enc.AFFINE_SPAN:
+        if name == "affine":
             encoder = [reg[n] for n in ("layer0.attn.q_w", "layer0.ffn.w1",
                                         "layer0.adapter_attn.down_w",
                                         "layer0.adapter_ffn.up_w",

@@ -20,7 +20,6 @@ from .autograd import Tensor
 
 INIT_STD = 0.02
 SEGMENT_TYPES = 2  # query side and context side
-AFFINE_SPAN = "affine_span"  # the per-position affine span head
 
 
 @dataclass
@@ -110,8 +109,8 @@ class Param(NamedTuple):
     init: str              # normal (truncated, std 0.02), zeros or ones
 
 
-def parameter_schema(config, include_head=True):
-    """Every encoder parameter (and the affine span head) in allocation order.
+def parameter_schema(config):
+    """Every encoder parameter in allocation order.
 
     Weights are truncated-normal; biases zero; layer-norm gains one; adapter
     up-projections zero so adapters start as identities.
@@ -148,9 +147,6 @@ def parameter_schema(config, include_head=True):
                 add(f"{p}.{slot}.down_b", (a,), "adapters", "zeros", i)
                 add(f"{p}.{slot}.up_w", (a, H), "adapters", "zeros", i)
                 add(f"{p}.{slot}.up_b", (H,), "adapters", "zeros", i)
-    if include_head:
-        add("head.w", (H, 2), "head", "normal")
-        add("head.b", (2,), "head", "zeros")
     return schema
 
 
@@ -230,9 +226,12 @@ class ParameterRegistry:
 
 
 def build_encoder(config, seed, include_head=True):
-    """Allocate every parameter of ``parameter_schema`` from one seed."""
-    return ParameterRegistry().allocate(parameter_schema(config, include_head),
-                                        seed)
+    """Allocate every parameter of ``parameter_schema``, then with
+    ``include_head`` the affine span head's, from one seed."""
+    schema = parameter_schema(config)
+    if include_head:
+        schema += AFFINE_SPAN.parameter_schema(config.hidden_size)
+    return ParameterRegistry().allocate(schema, seed)
 
 
 def _adapter(reg, prefix, z):
@@ -297,6 +296,27 @@ def span_head_logits(registry, sequence_output):
     """Per-position affine hidden -> 2; returns [..., 2, L] start/end logits."""
     return start_end_logits(sequence_output, registry["head.w"],
                             registry["head.b"])
+
+
+class AffineSpan:
+    """BERT's span head: one [H, 2] affine map per position, drawn from the
+    encoder's generator. ``cacnn.CacnnConfig`` has the same four methods."""
+
+    def parameter_schema(self, hidden_size):
+        return [Param("head.w", (hidden_size, 2), "head", None, "normal"),
+                Param("head.b", (2,), "head", None, "zeros")]
+
+    def validate(self, seq_len, hidden_size):
+        """Any sequence fits."""
+
+    def build(self, config, seed):
+        return build_encoder(config, seed)
+
+    def logits(self, registry, sequence_output):
+        return span_head_logits(registry, sequence_output)
+
+
+AFFINE_SPAN = AffineSpan()  # the one affine head
 
 
 def apply_freeze_policy(registry, config, policy):

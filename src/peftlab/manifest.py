@@ -47,7 +47,7 @@ class ExperimentSpec:
     label: str
     encoder_config: EncoderConfig
     policy: FreezePolicy
-    head: object                      # AFFINE_SPAN or CacnnConfig
+    head: object                      # AFFINE_SPAN or a CacnnConfig
     train_config: TrainConfig
     dataset_count: int = 2000
     dataset_len: int = 64
@@ -60,8 +60,7 @@ class ExperimentSpec:
         if self.dataset_len > config.max_seq_len:
             raise ValueError(f"dataset_len {self.dataset_len} exceeds "
                              f"max_seq_len {config.max_seq_len}")
-        if self.head != AFFINE_SPAN:
-            cacnn_mod.validate(self.head, self.dataset_len, config.hidden_size)
+        self.head.validate(self.dataset_len, config.hidden_size)
         check_request(self.dataset_len, config.vocab_size,
                       unanswerable_fraction=UNANSWERABLE_FRACTION)
         for p in model_schema(config, self.head):
@@ -143,12 +142,12 @@ def _build_spec(label, section):
     policy = FreezePolicy(top_layers_trainable=k,
                           embeddings_trainable=k == config.num_layers)
 
-    head = section.get("head", AFFINE_SPAN)
-    if head == "cacnn":
+    name, head = section.get("head", "affine_span"), AFFINE_SPAN
+    if name == "cacnn":
         head = cacnn_mod.CacnnConfig(**fields(CACNN_KEYS))
-    elif head != AFFINE_SPAN:
-        raise ValueError(f'head must be "{AFFINE_SPAN}" or "cacnn", got '
-                         f'{head!r}')
+    elif name != "affine_span":
+        raise ValueError(f'head must be "affine_span" or "cacnn", got '
+                         f'{name!r}')
     elif stray := [key for key in section if key in CACNN_KEYS]:
         raise ValueError(f"CACNN keys {', '.join(stray)} need head = cacnn")
 

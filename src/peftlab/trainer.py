@@ -10,7 +10,6 @@ import numpy as np
 
 from . import accounting
 from . import autograd as ag
-from . import cacnn as cacnn_mod
 from . import encoder as enc
 from .span import decode_span, score, stack
 
@@ -106,20 +105,13 @@ class Model:
 
     def span_logits(self, batch):
         """Start and end logits [..., 2, L] of one example or a stacked batch."""
-        x = enc.forward(self.registry, self.config, batch.tokens, batch.segments)
-        if self.head == enc.AFFINE_SPAN:
-            return enc.span_head_logits(self.registry, x)
-        maps = cacnn_mod.forward(x, self.registry, self.head)
-        return cacnn_mod.head_logits(maps, self.registry)
+        return self.head.logits(self.registry, enc.forward(
+            self.registry, self.config, batch.tokens, batch.segments))
 
 
 def build_model(config, policy, head, seed):
-    """Allocate, freeze and count-check one experiment's model. A CACNN
-    head replaces the affine span head and draws from ``seed + 1``."""
-    affine = head == enc.AFFINE_SPAN
-    registry = enc.build_encoder(config, seed, include_head=affine)
-    if not affine:
-        cacnn_mod.build_params(registry, head, config.hidden_size, seed + 1)
+    """Allocate (as the head decides), freeze and count-check a model."""
+    registry = head.build(config, seed)
     enc.apply_freeze_policy(registry, config, policy)
     expected = accounting.count(config, policy, head).trainable_under_policy
     if registry.trainable_count != expected:

@@ -322,7 +322,7 @@ class TestSchema:
     def test_schema_groups_are_count_report_fields(self):
         cfg = desk_config(adapter=AdapterConfig(4))
         schema = (enc.parameter_schema(cfg)
-                  + cacnn.parameter_schema(CACNN_VARIANTS[0], cfg.hidden_size))
+                  + CACNN_VARIANTS[0].parameter_schema(cfg.hidden_size))
         fields = {"embeddings", "attention", "ffn", "layer_norms", "adapters",
                   "head"}
         assert {p.group for p in schema} == fields
@@ -392,3 +392,111 @@ class TestBuildModel:
         monkeypatch.setattr(accounting, "count", off_by_one)
         with pytest.raises(RuntimeError, match="disagrees with accounting"):
             build_model(desk_config(), FreezePolicy(0, False), AFFINE_SPAN, 0)
+
+
+class _ProbeHead:
+    """A span head defined only here: it has nothing but the four methods
+    of the head interface, and draws its parameters from ``seed + 7``."""
+
+    def parameter_schema(self, hidden_size):
+        return [enc.Param("probe.w", (hidden_size, 2), "head", None, "normal"),
+                enc.Param("probe.b", (2,), "head", None, "zeros")]
+
+    def validate(self, seq_len, hidden_size):
+        pass
+
+    def build(self, config, seed):
+        registry = enc.ParameterRegistry().allocate(
+            enc.parameter_schema(config), seed)
+        return registry.allocate(self.parameter_schema(config.hidden_size),
+                                 seed + 7)
+
+    def logits(self, registry, sequence_output):
+        return enc.start_end_logits(sequence_output, registry["probe.w"],
+                                    registry["probe.b"])
+
+
+class TestHeadInterface:
+    """Model building, accounting, the spec check, training and evaluation
+    ask a head only for its four methods."""
+
+    def test_a_head_defined_outside_the_package_runs_end_to_end(self):
+        from peftlab.manifest import ExperimentSpec
+        from peftlab.trainer import evaluate
+        cfg, head, policy = desk_config(), _ProbeHead(), FreezePolicy(0, False)
+        model = build_model(cfg, policy, head, 3)
+        reg = model.registry
+        assert reg.names() == [p.name for p in enc.parameter_schema(cfg)] \
+            + ["probe.w", "probe.b"]
+        drawn = enc.ParameterRegistry().allocate(
+            head.parameter_schema(cfg.hidden_size), 3 + 7)
+        assert reg["probe.w"].data.tobytes() == drawn["probe.w"].data.tobytes()
+        report = accounting.count(cfg, policy, head)
+        assert report.head == cfg.hidden_size * 2 + 2
+        assert report.trainable_under_policy == reg.trainable_count
+        spec = ExperimentSpec("probe", cfg, policy, head, TrainConfig(),
+                              dataset_len=32)
+        assert spec.head is head
+
+        ds = generate_dataset(seed=0, count=16, seq_len=32, vocab_size=64,
+                              unanswerable_fraction=0.25)
+        tc = TrainConfig(batch_size=8, epochs=1, seed=0)
+        before = reg["probe.w"].data.copy()
+        result = train(model, ds, tc)
+        assert len(result.loss_history) == 2
+        assert not np.array_equal(reg["probe.w"].data, before)
+        em, f1, seconds = evaluate(model, ds, tc)
+        assert 0.0 <= em <= f1 <= 100.0 and seconds >= 0.0
+
+    @pytest.mark.parametrize("head", [AFFINE_SPAN, *CACNN_VARIANTS],
+                             ids=["affine", "context_vector", "simplified"])
+    def test_model_schema_names_what_build_allocates(self, head):
+        for cfg in (desk_config(), desk_config(adapter=AdapterConfig(8))):
+            assert [p.name for p in accounting.model_schema(cfg, head)] == \
+                head.build(cfg, 0).names()
+
+    # a profiler (bench/tracing.py) times a head by wrapping these module
+    # functions, so a head must reach them through the module at call time
+    @pytest.mark.parametrize("head, reached", [
+        (AFFINE_SPAN, ["encoder.forward", "encoder.span_head_logits"]),
+        *((h, ["encoder.forward", "cacnn.forward", "cacnn.head_logits"])
+          for h in CACNN_VARIANTS),
+    ], ids=["affine", "context_vector", "simplified"])
+    def test_span_logits_calls_each_wrappable_function_once(
+            self, monkeypatch, head, reached):
+        from peftlab.span import stack
+        model = build_model(desk_config(), FreezePolicy(0, False), head, 0)
+        calls = []
+        for owner, attr in ((enc, "forward"), (enc, "span_head_logits"),
+                            (cacnn, "forward"), (cacnn, "head_logits")):
+            name = f"{owner.__name__.split('.')[-1]}.{attr}"
+
+            def counting(*args, real=getattr(owner, attr), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(owner, attr, counting)
+        batch = stack(generate_dataset(seed=0, count=2, seq_len=64,
+                                       vocab_size=64))
+        assert model.span_logits(batch).shape == (2, 2, 64)
+        assert sorted(calls) == sorted(reached)
+
+    @pytest.mark.parametrize("head, reached", [
+        (AFFINE_SPAN, ["encoder.build_encoder"]),
+        *((h, ["encoder.build_encoder", "cacnn.build_params"])
+          for h in CACNN_VARIANTS),
+    ], ids=["affine", "context_vector", "simplified"])
+    def test_build_calls_each_wrappable_builder_once(
+            self, monkeypatch, head, reached):
+        calls = []
+        for owner, attr in ((enc, "build_encoder"), (cacnn, "build_params")):
+            name = f"{owner.__name__.split('.')[-1]}.{attr}"
+
+            def counting(*args, real=getattr(owner, attr), name=name,
+                         **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        build_model(desk_config(), FreezePolicy(0, False), head, 0)
+        assert calls == reached

@@ -35,7 +35,7 @@ class TestParseManifest:
         assert spec.encoder_config.hidden_size == 32  # desk preset
         assert spec.policy.top_layers_trainable == 2
         assert spec.policy.embeddings_trainable  # full fine-tune default
-        assert spec.head == "affine_span"
+        assert spec.head is AFFINE_SPAN
         assert spec.train_config.batch_size == 8
         assert spec.train_config.epochs == 3
         assert spec.dataset_count == 2000
