@@ -30,9 +30,12 @@ and hands on each that is needed. A node or a leaf adopts the first gradient
 array it is handed, and several may share one (``add(a, b)`` hands ``a`` and
 ``b`` the same array), so ``.grad`` arrays are read-only: no op mutates a
 gradient in place, and accumulation always builds a new array. Only the
-root's explicit output gradient is copied, because the caller keeps it. Each
-node drops its gradient once its backward has run, so after ``backward()``
-only leaves hold gradients (an output Tensor's own ``.grad`` stays None).
+root's explicit output gradient is copied, because the caller keeps it. The
+tape is single-use: once a node's closure has run (at once if no gradient
+reached it), the node drops its gradient and the closure, with every array
+the op saved, which no later closure reads. After ``backward()`` only leaves
+hold gradients (an output Tensor's own ``.grad`` stays None), and a
+``backward()`` that reaches a consumed node raises ``RuntimeError``.
 
 Every operand is a Tensor; ids and targets are plain integer arrays. Every op
 takes optional leading batch axes, so one graph serves a whole mini-batch: a
@@ -67,6 +70,13 @@ try:  # OpenBLAS's thread-count setter (0.3.27+) in the library numpy loaded
         ("openblas_set_num_threads_local", ctypes.CDLL(_blas)))
 except (OSError, StopIteration, AttributeError):  # another BLAS, not Linux
     _set_blas_threads = None
+
+try:  # glibc: keep the heap a freed tape leaves for the next forward to reuse
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap under 32 MiB
+    _libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: trim past 1 GiB free
+except (OSError, AttributeError):  # another C library
+    pass
 
 
 @contextmanager
@@ -194,9 +204,11 @@ class Tensor:
         order = _toposort(root)
         _accumulate(root, grad)
         for vertex in order:
-            if vertex._backward is not None and vertex.grad is not None:
-                vertex._backward(vertex.grad)
-                vertex.grad = None  # read by no other backward
+            if vertex._backward is not None:  # a node: free what it saved
+                grad, vertex.grad = vertex.grad, None
+                backward, vertex._backward = vertex._backward, None
+                if grad is not None:
+                    backward(grad)
 
 
 def _toposort(root):
@@ -211,6 +223,9 @@ def _toposort(root):
             continue
         if id(node) in visited:
             continue
+        if isinstance(node, _Node) and node._backward is None:
+            raise RuntimeError("an earlier backward() consumed this graph; "
+                               "run the forward again to rebuild it")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:

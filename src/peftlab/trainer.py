@@ -158,6 +158,7 @@ def train(model, dataset, train_config):
             opt.step()
             history.append((step, epoch, loss_val))
             step += 1
+    opt.zero_grad()  # the caller gets the model without the last gradients
     train_seconds = time.monotonic() - t0
     return TrainResult(history, train_seconds)
 

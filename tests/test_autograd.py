@@ -1,5 +1,7 @@
 import contextlib
 import math
+import resource
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -8,8 +10,12 @@ import numpy as np
 import pytest
 
 from peftlab import autograd as ag
+from peftlab import encoder as enc
 from peftlab.autograd import ShapeError, Tensor
 from peftlab.checks import TOLERANCE, check_gradients, random_tensor, run_suite
+from peftlab.encoder import AFFINE_SPAN, FreezePolicy
+from peftlab.span import generate_dataset, stack
+from peftlab.trainer import TrainConfig, build_model, example_loss, train
 
 from oracles import (attention_stored_exps, conv1d_loops, gelu_reference,
                      layer_norm_reference)
@@ -438,6 +444,92 @@ class TestSavedArrays:
         w.requires_grad = True
         out.backward(np.ones((3, 2)))
         assert x.grad is not None and w.grad is None
+
+
+class TestReleasedTape:
+    """Backward frees each node's saved arrays as it runs it, so a graph is
+    walked once and a training step holds one tape."""
+
+    @staticmethod
+    def _desk_long_model():
+        config = enc.desk_config()
+        config.max_seq_len = 256
+        return build_model(config, FreezePolicy(0), AFFINE_SPAN, 0)
+
+    @pytest.mark.parametrize("second_root", [
+        lambda y, out: out,
+        lambda y, out: ag.scale(y, 2.0),
+    ], ids=["same-root", "shared-subgraph"])
+    def test_a_graph_is_walked_once(self, second_root):
+        x = Tensor(np.array([1.5, -0.5]), requires_grad=True)
+        y = ag.gelu(x)
+        out = ag.add(y, y)
+        out.backward(np.ones(2))
+        first = x.grad
+        root = second_root(y, out)
+        with pytest.raises(RuntimeError, match="rebuild"):
+            root.backward(np.ones(2))
+        assert x.grad is first
+
+    def test_backward_frees_the_input_matmul_kept_for_its_weight(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w1 = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+        w2 = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
+        h = ag.matmul(x, w1)
+        kept, h_data = weakref.ref(h.data), h.data.copy()
+        out = ag.matmul(h, w2)
+        del h
+        assert kept() is not None
+        g = rng.standard_normal((4, 2))
+        out.backward(g)
+        assert kept() is None
+        gh = g @ w2.data.T
+        for leaf, want in ((w2, h_data.T @ g), (w1, x.data.T @ gh),
+                           (x, gh @ w1.data.T)):
+            assert np.allclose(leaf.grad, want, rtol=1e-12, atol=1e-14)
+
+    def test_a_desk_long_step_keeps_only_the_weight_gradients(self):
+        model = self._desk_long_model()
+        batch = stack(generate_dataset(0, 8, 256, 64))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            loss = example_loss(model, batch)
+            loss.backward()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grads = {id(t.grad): t.grad.nbytes
+                 for _, t in model.registry.trainable_items()
+                 if t.grad is not None}
+        assert grads
+        assert after - before <= sum(grads.values()) + 64 * 1024
+
+    def test_training_peaks_at_one_tape_whatever_the_step_count(self):
+        dataset = generate_dataset(0, 24, 256, 64)
+        peaks = []
+        for count in (8, 24):  # one step, then three, of batch 8
+            model = self._desk_long_model()
+            tracemalloc.start()
+            try:
+                train(model, dataset[:count], TrainConfig(epochs=1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= 256 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="glibc's mallopt")
+    def test_later_steps_reuse_the_memory_a_step_freed(self):
+        model = self._desk_long_model()
+        dataset = generate_dataset(0, 48, 256, 64)
+        train(model, dataset[:8], TrainConfig(epochs=1))  # the heap grows
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(model, dataset, TrainConfig(epochs=1))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        # a step's tape is about 15 MB, some 3,700 pages
+        assert faults < 500
 
 
 class TestBatchAxis:

@@ -94,6 +94,11 @@ class TestTrain:
         for name, tensor in model.registry.trainable_items():
             assert id(tensor) in got, name
 
+    def test_train_hands_back_a_model_without_gradients(self):
+        model, ds = small_setup(k=1, count=16)
+        train(model, ds, TrainConfig(epochs=1, seed=0))
+        assert all(t.grad is None for _, t in model.registry.items())
+
     def test_train_seconds_nonnegative(self):
         model, ds = small_setup(count=8)
         result = train(model, ds, TrainConfig(epochs=1, seed=0))
