@@ -5,8 +5,8 @@ records a node on its output Tensor: the gradient flowing into that output,
 the graph vertices of those operands (their nodes, or the trainable leaves
 themselves) and a backward closure. Calling ``backward()`` on a scalar (or
 any tensor, with an explicit output gradient) walks the nodes in reverse
-topological order and accumulates gradients into every leaf with
-``requires_grad=True``.
+topological order and accumulates gradients into every leaf that was
+trainable (``requires_grad=True``) when an op recorded it.
 
 The tape keeps only what backward reads. A node references no Tensor but
 trainable leaves, so graph edges never pin an activation's array, and each
@@ -19,9 +19,11 @@ q, k, v, its output and two row statistics per head and query, and its
 backward recomputes the exps group by group, bit for bit, so q, k and v must
 not change between the forward and the backward. An activation is therefore
 freed as soon as the forward code drops it, unless some backward reads it.
-Because the choice is made at record time, changing ``requires_grad`` after
-the forward can only remove gradients: a leaf frozen before ``backward()``
-gets none, and a leaf that was frozen during the forward gets none either.
+Every such decision is made at record time: an op reads each operand's
+``requires_grad`` once, when it is recorded, and flipping the flag later
+changes nothing already recorded. A leaf frozen after the forward still
+gets its gradient from that graph, a leaf unfrozen after it gets none, and
+``backward()`` on a leaf that is not trainable does nothing.
 
 Backward computes only gradients that are kept: an op skips every operand
 that needs no gradient, so frozen weights cost no weight-gradient work. Only
@@ -139,7 +141,6 @@ class _Node:
     """The graph vertex of a recorded op's output: everything but its array."""
 
     __slots__ = ("grad", "_parents", "_backward")
-    requires_grad = True
 
     def __init__(self, parents, backward):
         self.grad = None
@@ -200,6 +201,8 @@ class Tensor:
                 f"shape {self.data.shape}"
             )
 
+        if self._node is None and not self.requires_grad:
+            return  # a leaf that is not trainable has no gradient
         root = self._node or self
         order = _toposort(root)
         _accumulate(root, grad)
@@ -246,21 +249,15 @@ def _vertex(tensor):
     return tensor if tensor.requires_grad else None
 
 
-def _needs_grad(vertex):
-    """True for a node or a leaf that is still trainable: its gradient is used."""
-    return vertex is not None and vertex.requires_grad
-
-
 def _accumulate(vertex, grad):
-    if vertex.requires_grad:
-        vertex.grad = grad if vertex.grad is None else vertex.grad + grad
+    vertex.grad = grad if vertex.grad is None else vertex.grad + grad
 
 
 def _node(data, parents, backward):
     """Wrap ``data``; record ``backward`` if a parent vertex needs a gradient."""
     out = Tensor(data)
-    parents = tuple(p for p in parents if _needs_grad(p))
-    if _grad_enabled and parents:
+    parents = tuple(p for p in parents if p is not None)
+    if parents:
         out.requires_grad = True
         out._node = _Node(parents, backward)
     return out
@@ -286,9 +283,9 @@ def add(a, b):
     va, vb = _vertex(a), _vertex(b)
 
     def backward(g):
-        if _needs_grad(va):
+        if va is not None:
             _accumulate(va, _unbroadcast(g, a_shape))
-        if _needs_grad(vb):
+        if vb is not None:
             _accumulate(vb, _unbroadcast(g, b_shape))
 
     return _node(data, (va, vb), backward)
@@ -392,7 +389,7 @@ def concat(tensors):
 
     def backward(g):
         for vt, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
-            if _needs_grad(vt):
+            if vt is not None:
                 _accumulate(vt, g[..., lo:hi])
 
     return _node(data, vertices, backward)
@@ -435,9 +432,9 @@ def matmul(a, b):
     b_data = b.data if va is not None else None  # a's gradient reads b
 
     def backward(g):
-        if _needs_grad(va):
+        if va is not None:
             _accumulate(va, g @ b_data.T)
-        if _needs_grad(vb):
+        if vb is not None:
             _accumulate(vb, a_data.reshape(-1, k).T @ g.reshape(-1, n))
 
     return _node(data, (va, vb), backward)
@@ -461,41 +458,41 @@ def softmax(x, axis):
     return _node(y, (vx,), backward)
 
 
-def attention(q, k, v, num_heads, scale):
-    """Multi-head scaled dot-product attention, softmax(q @ kᵀ * scale) @ v.
+def attention(q, k, v, num_heads):
+    """Multi-head scaled dot-product attention, softmax(q @ kᵀ / √d) @ v.
 
-    q is [..., L, H]; k and v are [..., L', H] with the same leading axes,
-    N rows in all. Each is split into A = ``num_heads`` heads as the view
-    [N, A, L, d] of [N, L, A, d] (Vaswani et al. 2017), and the output and
-    the gradients are written through such views, so nothing is copied
-    between layouts. The heads are walked in groups of max(1, BLOCK //
-    (L·L')), so one group's scores stay in cache; a group never spans two
-    leading rows, so every group of q, k and v is a view. Per group,
-    ``scale`` is applied to q, not to the scores, and the scores fill one
-    group-sized buffer that every group reuses: shifted by their row max m
-    and exponentiated to e = exp(s − m), they give one row sum z per query
-    and the output (e @ v) / z, so the probabilities e / z are never
-    formed. A recorded op keeps no score-sized array, only q, k, v, the
-    output, m and z. Its backward walks the same groups and recomputes each
-    group's exps with the same numpy calls on the same operands, so bit for
-    bit; q, k and v must therefore not change between the forward and the
-    backward. It computes all three gradients and hands on each that is
-    needed. The softmax correction rowsum(dP∘P) is taken as rowsum(dO∘O)
-    per head (Dao et al. 2022, FlashAttention). Each head's arithmetic, and
-    so its result, is the same at every group size.
+    q, k and v are [..., L, H], N rows of leading axes in all. Each is split
+    into A = ``num_heads`` heads of width d = H / A as the view [N, A, L, d]
+    of [N, L, A, d] (Vaswani et al. 2017), and the output and the gradients
+    are written through such views, so nothing is copied between layouts.
+    The heads are walked in groups of max(1, BLOCK // (L·L)), so one group's
+    scores stay in cache; a group never spans two leading rows, so every
+    group of q, k and v is a view. Per group, 1/√d is applied to q, not to
+    the scores, and the scores fill one group-sized buffer that every group
+    reuses: shifted by their row max m and exponentiated to e = exp(s − m),
+    they give one row sum z per query and the output (e @ v) / z, so the
+    probabilities e / z are never formed. A recorded op keeps no score-sized
+    array, only q, k, v, the output, m and z. Its backward walks the same
+    groups and recomputes each group's exps with the same numpy calls on the
+    same operands, so bit for bit; q, k and v must therefore not change
+    between the forward and the backward. It computes all three gradients
+    and hands on each that is needed. The softmax correction rowsum(dP∘P) is
+    taken as rowsum(dO∘O) per head (Dao et al. 2022, FlashAttention). Each
+    head's arithmetic, and so its result, is the same at every group size.
     """
-    if (q.data.ndim < 2 or k.data.shape != v.data.shape
-            or q.data.shape[:-2] != k.data.shape[:-2]
-            or q.data.shape[-1] != k.data.shape[-1]
+    if (q.data.ndim < 2 or k.data.shape != q.data.shape
+            or v.data.shape != q.data.shape
             or num_heads < 1 or q.data.shape[-1] % num_heads):
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, "
                          f"v {v.shape} for {num_heads} heads")
-    (L, H), Lk, A = q.data.shape[-2:], k.data.shape[-2], int(num_heads)
-    d, scale = H // A, float(scale)
-    group = max(1, BLOCK // max(1, L * Lk))
+    shape = q.data.shape
+    (L, H), A = shape[-2:], int(num_heads)
+    d = H // A
+    scale = 1.0 / math.sqrt(d)
+    group = max(1, BLOCK // max(1, L * L))
 
     def heads(a):  # [..., L, H] -> [N, A, L, d], a view of [N, L, A, d]
-        return np.swapaxes(a.reshape(-1, a.shape[-2], A, d), 1, 2)
+        return np.swapaxes(a.reshape(-1, L, A, d), 1, 2)
 
     vq, vk, vv = _vertex(q), _vertex(k), _vertex(v)
     qf, kf, vf = heads(q.data), heads(k.data), heads(v.data)
@@ -508,9 +505,9 @@ def attention(q, k, v, num_heads, scale):
         return np.matmul(qg, np.swapaxes(kf[sl], -1, -2), out=s[:len(qg)])
 
     n = min(group, A)
-    qs, s_buf = np.empty((n, L, d)), np.empty((n, L, Lk))
+    qs, s_buf = np.empty((n, L, d)), np.empty((n, L, L))
     m, z = np.empty((N, A, L, 1)), np.empty((N, A, L, 1))
-    out = heads(np.empty(q.data.shape))
+    out = heads(np.empty(shape))
     with _one_blas_thread():  # per-head gemms: a hand-off costs more
         for sl in slices:
             s = scores(sl, qs, s_buf)
@@ -520,15 +517,14 @@ def attention(q, k, v, num_heads, scale):
             np.matmul(s, vf[sl], out=out[sl])
     rows = np.swapaxes(out, 1, 2)  # memory order, so no ufunc buffering
     rows /= np.swapaxes(z, 1, 2)
-    q_shape, kv_shape = q.data.shape, k.data.shape
 
     def backward(g):
         g = heads(g)
-        gq, gv = heads(np.empty(q_shape)), heads(np.empty(kv_shape))
-        # k's gradient is made transposed, as [N, A, d, L']; taken directly
+        gq, gv = heads(np.empty(shape)), heads(np.empty(shape))
+        # k's gradient is made transposed, as [N, A, d, L]; taken directly
         # as gsᵀ @ q, it would round differently
-        gkt = np.empty((N, A, d, Lk))
-        qs, e_buf, gs_buf = np.empty((n, L, d)), *np.empty((2, n, L, Lk))
+        gkt = np.empty((N, A, d, L))
+        qs, e_buf, gs_buf = np.empty((n, L, d)), *np.empty((2, n, L, L))
         with _one_blas_thread():
             for sl in slices:
                 es = scores(sl, qs, e_buf)
@@ -545,13 +541,11 @@ def attention(q, k, v, num_heads, scale):
                 np.matmul(np.swapaxes(qf[sl], -1, -2), gs, out=gkt[sl])
         gq *= scale
         gkt *= scale
-        for vt, grad, shape in ((vq, gq, q_shape),
-                                (vk, np.swapaxes(gkt, -1, -2), kv_shape),
-                                (vv, gv, kv_shape)):
-            if _needs_grad(vt):  # [N, L, A, d] reshapes without a copy
+        for vt, grad in ((vq, gq), (vk, np.swapaxes(gkt, -1, -2)), (vv, gv)):
+            if vt is not None:  # [N, L, A, d] reshapes without a copy
                 _accumulate(vt, np.swapaxes(grad, 1, 2).reshape(shape))
 
-    return _node(rows.reshape(q_shape), (vq, vk, vv), backward)
+    return _node(rows.reshape(shape), (vq, vk, vv), backward)
 
 
 def layer_norm(x, gain, bias):
@@ -571,11 +565,11 @@ def layer_norm(x, gain, bias):
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        if _needs_grad(vgain):
+        if vgain is not None:
             _accumulate(vgain, (g * xhat).sum(axis=lead))
-        if _needs_grad(vbias):
+        if vbias is not None:
             _accumulate(vbias, g.sum(axis=lead))
-        if not _needs_grad(vx):
+        if vx is None:
             return
         dxhat = g * gain_data
         dx = inv_std * (
@@ -637,7 +631,7 @@ def conv1d(x, filters, padding):
     flat_filters = filters.data.reshape(f_shape[:-2] + (-1,))
 
     def backward(g):
-        if _needs_grad(vf):
+        if vf is not None:
             windows = np.swapaxes(np.lib.stride_tricks.sliding_window_view(
                 xp, width, axis=-2), -1, -2).reshape(
                     lead + (out_len, width * channels))
@@ -647,7 +641,7 @@ def conv1d(x, filters, padding):
                 gf = (g.reshape(-1, n_filters).T
                       @ windows.reshape(-1, width * channels))
             _accumulate(vf, gf.reshape(f_shape))
-        if not _needs_grad(vx):
+        if vx is None:
             return
         gwin = (g @ flat_filters).reshape(lead + (out_len, width, channels))
         gxp = np.zeros(xp_shape)
@@ -689,8 +683,6 @@ def embedding_lookup(table, ids):
     vt, t_shape = _vertex(table), table.data.shape
 
     def backward(g):
-        if not _needs_grad(vt):  # a frozen table gets no dense gradient
-            return
         gt = np.zeros(t_shape)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, t_shape[1]))
         _accumulate(vt, gt)

@@ -122,7 +122,7 @@ def _op_checks(rng):
     yield "matmul_3d_shared", lambda: ag.matmul(a3, b), [a3, b]
 
     q, k, v = (random_tensor(rng, (2, 3, 4)) for _ in range(3))
-    yield "attention", lambda: ag.attention(q, k, v, 2, 0.7), [q, k, v]
+    yield "attention", lambda: ag.attention(q, k, v, 2), [q, k, v]
 
     xb = random_tensor(rng, (2, 5, 3))
     fb = random_tensor(rng, (2, 2, 2, 3))

@@ -9,7 +9,6 @@ norms (including the embedding layer norm) and the task head always train.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -245,8 +244,7 @@ def _attention(reg, config, prefix, x):
     def proj(name):
         return ag.add(ag.matmul(x, reg[f"{prefix}.{name}_w"]), reg[f"{prefix}.{name}_b"])
 
-    scale = 1.0 / math.sqrt(config.hidden_size // config.num_heads)
-    ctx = ag.attention(proj("q"), proj("k"), proj("v"), config.num_heads, scale)
+    ctx = ag.attention(proj("q"), proj("k"), proj("v"), config.num_heads)
     return ag.add(ag.matmul(ctx, reg[f"{prefix}.o_w"]), reg[f"{prefix}.o_b"])
 
 

@@ -44,7 +44,8 @@ class TrainingDiverged(RuntimeError):
 
 
 class Adam:
-    """Adam with moment buffers only for trainable parameters."""
+    """Adam over the parameters trainable when it is built: it keeps moment
+    buffers for those alone, and a flag flipped later changes nothing."""
 
     def __init__(self, registry, lr):
         self.registry = registry
@@ -54,7 +55,7 @@ class Adam:
         self.v = {n: np.zeros(t.data.shape) for n, t in registry.trainable_items()}
 
     def step(self):
-        """Update, in place, every trainable tensor that has a gradient.
+        """Update, in place, every tensor with moments that has a gradient.
 
         The result is bit-identical to the textbook expressions
 
@@ -86,10 +87,11 @@ class Adam:
             quotient /= scratch
             data -= quotient
 
-        for name, tensor in self.registry.trainable_items():
+        for name, m in self.m.items():
+            tensor = self.registry[name]
             if tensor.grad is not None:
-                ag.blockwise(update, (tensor.data, self.m[name], self.v[name],
-                                      tensor.grad), scratch=2)
+                ag.blockwise(update, (tensor.data, m, self.v[name], tensor.grad),
+                             scratch=2)
 
     def zero_grad(self):
         for _, tensor in self.registry.items():

@@ -132,6 +132,20 @@ class TestAdam:
                 assert np.array_equal(opt.m[name], m), (name, t)
                 assert np.array_equal(opt.v[name], v), (name, t)
 
+    def test_keeps_the_set_it_was_built_with(self):
+        # a weight unfrozen after the optimizer is built has no moments in
+        # it, so it stays put; an optimizer built after the flip updates it
+        model, _ = small_setup(k=0)
+        reg, name = model.registry, "layer0.attn.q_w"
+        built_before = Adam(reg, lr=1e-3)
+        reg[name].requires_grad = True
+        reg[name].grad = np.ones(reg[name].shape)
+        old = reg[name].data.copy()
+        built_before.step()
+        assert np.array_equal(reg[name].data, old)
+        Adam(reg, lr=1e-3).step()
+        assert not np.array_equal(reg[name].data, old)
+
 
 class _StubModel:
     """Produces fixed logits per example; lets evaluate() be tested alone."""
