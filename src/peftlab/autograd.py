@@ -37,7 +37,10 @@ tape is single-use: once a node's closure has run (at once if no gradient
 reached it), the node drops its gradient and the closure, with every array
 the op saved, which no later closure reads. After ``backward()`` only leaves
 hold gradients (an output Tensor's own ``.grad`` stays None), and a
-``backward()`` that reaches a consumed node raises ``RuntimeError``.
+``backward()`` that reaches a consumed node raises ``RuntimeError``. The walk
+reaches each trainable leaf right after the last node that reads it, so
+``backward(on_leaf=...)`` can use up each leaf's gradient, and even change
+the leaf's array (an optimizer update), while the walk goes on.
 
 Every operand is a Tensor; ids and targets are plain integer arrays. Every op
 takes optional leading batch axes, so one graph serves a whole mini-batch: a
@@ -184,8 +187,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self, grad=None):
-        """Accumulate gradients of this tensor w.r.t. every reachable leaf."""
+    def backward(self, grad=None, on_leaf=None):
+        """Accumulate gradients of this tensor w.r.t. every reachable leaf.
+
+        The walk reaches each leaf once every node that reads it has run, so
+        its gradient is complete; ``on_leaf(leaf)``, if given, is called
+        then on each leaf holding a gradient. No later node reads the leaf,
+        so ``on_leaf`` may drop the gradient and update the leaf in place.
+        """
         if grad is None:
             if self.data.ndim != 0:
                 raise ShapeError(
@@ -207,15 +216,25 @@ class Tensor:
         order = _toposort(root)
         _accumulate(root, grad)
         for vertex in order:
-            if vertex._backward is not None:  # a node: free what it saved
-                grad, vertex.grad = vertex.grad, None
-                backward, vertex._backward = vertex._backward, None
-                if grad is not None:
-                    backward(grad)
+            if isinstance(vertex, Tensor):  # a leaf, its gradient complete
+                if on_leaf is not None and vertex.grad is not None:
+                    on_leaf(vertex)
+                continue
+            grad, vertex.grad = vertex.grad, None  # a node: free what it saved
+            backward, vertex._backward = vertex._backward, None
+            if grad is not None:
+                backward(grad)
 
 
 def _toposort(root):
-    """Reverse topological order (root first), iterative to spare the stack."""
+    """Reverse topological order (root first), iterative to spare the stack.
+
+    A node's leaf parents go on the stack below its node parents, so a leaf
+    is visited after the whole subgraph under the first node to reach it.
+    In the reversed order each leaf then comes right after the last node
+    that reads it, and the nodes keep the order they have with the leaves
+    left out, so every gradient sum runs in that order.
+    """
     order = []
     visited = set()
     stack = [(root, False)]
@@ -231,9 +250,9 @@ def _toposort(root):
                                "run the forward again to rebuild it")
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
+        parents = [p for p in node._parents if id(p) not in visited]
+        stack += [(p, False) for p in parents if isinstance(p, Tensor)]
+        stack += [(p, False) for p in parents if isinstance(p, _Node)]
     order.reverse()
     return order
 
@@ -304,54 +323,62 @@ def scale(x, c):
 def gelu(x):
     """Gaussian error linear unit, tanh approximation.
 
-    Forward and backward run in place over blocks of at most BLOCK elements
-    (``blockwise``). Per element they keep the operation order of
+    Runs in place over blocks of at most BLOCK elements (``blockwise``). Per
+    element it keeps the operation order of
 
         t = tanh(√(2/π)·(v + 0.044715·v·v·v));  out = 0.5·v·(1 + t)
         dx = 0.5·(1 + t) + 0.5·v·(1 − t·t)·√(2/π)·(1 + 3·0.044715·v·v)
 
-    so the results are bitwise those of the unblocked expressions. The
-    forward keeps ``t`` for the backward, so it holds two input-sized arrays.
+    so the results are bitwise those of the unblocked expressions. A
+    recorded call computes dx in its forward, keeps it and nothing else (not
+    v, not t), and its backward is g·dx; a call that records nothing keeps t
+    in block scratch and allocates only its output.
     """
-    v = x.data
-    t, out = blockwise(_gelu_forward, (v,), outputs=2, scratch=1)
     vx = _vertex(x)
+    if vx is None:
+        out, = blockwise(_gelu, (x.data,), outputs=1, scratch=1)
+        return Tensor(out)
+    out, dx = blockwise(_gelu_and_derivative, (x.data,), outputs=2, scratch=2)
 
     def backward(g):
-        gx, = blockwise(_gelu_backward, (g, v, t), outputs=1, scratch=2)
-        _accumulate(vx, gx)
+        _accumulate(vx, g * dx)
 
     return _node(out, (vx,), backward)
 
 
-def _gelu_forward(v, t, out, u):
+def _gelu_tanh(v, t):
     t = np.multiply(v, v, out=t)
     t *= v
     t *= _GELU_C
     t += v
     t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
+    return np.tanh(t, out=t)
+
+
+def _gelu(v, out, t):
+    t = _gelu_tanh(v, t)
     out = np.multiply(v, 0.5, out=out)
-    u = np.add(t, 1.0, out=u)
-    out *= u
-    return t, out
+    t += 1.0
+    out *= t
+    return (out,)
 
 
-def _gelu_backward(g, v, t, gx, dinner, d):
+def _gelu_and_derivative(v, out, dx, t, dinner):
+    t = _gelu_tanh(v, t)
     dinner = np.multiply(v, 3.0 * _GELU_C, out=dinner)
     dinner *= v
     dinner += 1.0
     dinner *= _SQRT_2_OVER_PI
-    d = np.multiply(t, t, out=d)
-    np.subtract(1.0, d, out=d)
-    gx = np.multiply(v, 0.5, out=gx)
-    gx *= d
-    gx *= dinner
-    np.add(t, 1.0, out=d)
-    d *= 0.5
-    d += gx                      # dx
-    np.multiply(g, d, out=gx)
-    return (gx,)
+    out = np.multiply(v, 0.5, out=out)
+    dx = np.multiply(t, t, out=dx)
+    np.subtract(1.0, dx, out=dx)
+    dx *= out                    # 0.5·v·(1 − t·t), out being 0.5·v
+    dx *= dinner
+    t += 1.0
+    out *= t
+    t *= 0.5                     # 0.5·(1 + t)
+    dx += t
+    return out, dx
 
 
 def reshape(x, shape):

@@ -45,7 +45,15 @@ class TrainingDiverged(RuntimeError):
 
 class Adam:
     """Adam over the parameters trainable when it is built: it keeps moment
-    buffers for those alone, and a flag flipped later changes nothing."""
+    buffers for those alone, and a flag flipped later changes nothing.
+
+    A step updates each such tensor once from its gradient and drops the
+    gradient. ``update`` does that for one tensor as soon as its gradient is
+    complete: ``train`` hands it to ``Tensor.backward`` as ``on_leaf``, so
+    each gradient is used up while the walk goes on, and no step holds
+    every gradient at once. ``step`` then updates every tensor that still
+    holds a gradient (one set any other way) and closes the step.
+    """
 
     def __init__(self, registry, lr):
         self.registry = registry
@@ -53,11 +61,15 @@ class Adam:
         self.t = 0
         self.m = {n: np.zeros(t.data.shape) for n, t in registry.trainable_items()}
         self.v = {n: np.zeros(t.data.shape) for n, t in registry.trainable_items()}
+        self._moments = {t: (self.m[n], self.v[n])
+                         for n, t in registry.trainable_items()}
 
-    def step(self):
-        """Update, in place, every tensor with moments that has a gradient.
+    def update(self, tensor):
+        """Apply the open step's update to ``tensor``, in place, and drop its
+        gradient; a tensor without moments or a gradient is left alone.
 
-        The result is bit-identical to the textbook expressions
+        The result is bit-identical to the textbook expressions, at step
+        t = ``self.t + 1``,
 
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
             data -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
@@ -67,11 +79,13 @@ class Adam:
         temporaries are block-sized buffers that stay in cache; a tensor of
         one block or less makes the same numpy calls as unblocked code.
         """
-        self.t += 1
+        moments = self._moments.get(tensor)
+        if moments is None or tensor.grad is None:
+            return
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        c1, c2 = 1 - b1**(self.t + 1), 1 - b2**(self.t + 1)
 
-        def update(data, m, v, g, scratch, quotient):
+        def kernel(data, m, v, g, scratch, quotient):
             scratch = np.multiply(1 - b1, g, out=scratch)
             m *= b1
             m += scratch
@@ -87,11 +101,15 @@ class Adam:
             quotient /= scratch
             data -= quotient
 
-        for name, m in self.m.items():
-            tensor = self.registry[name]
-            if tensor.grad is not None:
-                ag.blockwise(update, (tensor.data, m, self.v[name], tensor.grad),
-                             scratch=2)
+        ag.blockwise(kernel, (tensor.data, *moments, tensor.grad), scratch=2)
+        tensor.grad = None
+
+    def step(self):
+        """Update every tensor with moments that holds a gradient, then close
+        the step: the next update is the next step's."""
+        for tensor in self._moments:
+            self.update(tensor)
+        self.t += 1
 
     def zero_grad(self):
         for _, tensor in self.registry.items():
@@ -156,7 +174,7 @@ def train(model, dataset, train_config):
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 raise TrainingDiverged(step, loss_val)
-            loss.backward()
+            loss.backward(on_leaf=opt.update)  # each gradient used up at once
             opt.step()
             history.append((step, epoch, loss_val))
             step += 1

@@ -15,10 +15,11 @@ from peftlab.autograd import ShapeError, Tensor
 from peftlab.checks import TOLERANCE, check_gradients, random_tensor, run_suite
 from peftlab.encoder import AFFINE_SPAN, FreezePolicy
 from peftlab.span import generate_dataset, stack
-from peftlab.trainer import TrainConfig, build_model, example_loss, train
+from peftlab.trainer import (Adam, TrainConfig, build_model, example_loss,
+                             train)
 
-from oracles import (attention_stored_exps, conv1d_loops, gelu_reference,
-                     layer_norm_reference)
+from oracles import (adam_reference, attention_stored_exps, conv1d_loops,
+                     gelu_reference, layer_norm_reference)
 
 
 class TestMatmul:
@@ -545,6 +546,128 @@ class TestReleasedTape:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         # a step's tape is about 15 MB, some 3,700 pages
         assert faults < 500
+
+
+def _nodes_without_leaves(root):
+    """The nodes of a graph in reverse topological order, from the same
+    iterative walk over node parents alone, leaves left out."""
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+        elif id(node) not in visited:
+            visited.add(id(node))
+            stack.append((node, True))
+            stack += [(p, False) for p in node._parents
+                      if isinstance(p, ag._Node) and id(p) not in visited]
+    return order[::-1]
+
+
+class TestLeafHandOff:
+    """``backward(on_leaf=...)`` hands each trainable leaf over once its
+    gradient is complete, so an optimizer can use it up during the walk."""
+
+    @staticmethod
+    def _desk_step(policy):
+        model = build_model(enc.desk_config(), policy, AFFINE_SPAN, 0)
+        loss = example_loss(model, stack(generate_dataset(0, 4, 32, 64)))
+        return model, loss
+
+    @pytest.mark.parametrize("policy", [FreezePolicy(2, True), FreezePolicy(1),
+                                        FreezePolicy(0)],
+                             ids=["k2-embeddings", "k1", "k0"])
+    def test_each_leaf_is_handed_once_after_every_node_reading_it(
+            self, policy, monkeypatch):
+        model, loss = self._desk_step(policy)
+        readers = {}  # leaf id -> the nodes that read it
+        seen, todo = set(), [loss._node]
+        while todo:
+            node = todo.pop()
+            for p in node._parents:
+                if isinstance(p, Tensor):
+                    readers.setdefault(id(p), []).append(node)
+                elif id(p) not in seen:
+                    seen.add(id(p))
+                    todo.append(p)
+        trainable = {id(t): n for n, t in model.registry.trainable_items()}
+        opt = Adam(model.registry, lr=1e-3)
+        accumulated = []  # every gradient handed on, in order
+        accumulate = ag._accumulate
+        monkeypatch.setattr(ag, "_accumulate", lambda vertex, grad: (
+            accumulated.append(vertex), accumulate(vertex, grad)))
+        handed = []  # (leaf, other leaves holding a gradient, len(accumulated))
+
+        def on_leaf(leaf):
+            assert all(node._backward is None for node in readers[id(leaf)])
+            holders = {trainable[id(t)] for _, t in model.registry.items()
+                       if t.grad is not None and t is not leaf}
+            handed.append((trainable[id(leaf)], holders, len(accumulated)))
+            opt.update(leaf)
+
+        loss.backward(on_leaf=on_leaf)
+        assert sorted(n for n, _, _ in handed) == sorted(trainable.values())
+        # another leaf may hold a gradient only if the same closure completed
+        # it (a layer norm's gain and bias): it is handed over before the
+        # next gradient is handed on
+        together = {}
+        for name, _, mark in handed:
+            together.setdefault(mark, set()).add(name)
+        for _, holders, mark in handed:
+            assert holders <= together[mark]
+        assert all(t.grad is None for _, t in model.registry.items())
+
+    def test_nodes_keep_their_order(self):
+        model, loss = self._desk_step(FreezePolicy(2, True))
+        walk = [v for v in ag._toposort(loss._node) if isinstance(v, ag._Node)]
+        assert walk == _nodes_without_leaves(loss._node)
+
+    def test_a_weight_read_by_two_matmuls_arrives_once_with_both_sums(self):
+        rng = np.random.default_rng(40)
+        x1 = Tensor(rng.standard_normal((5, 3)))
+        x2 = Tensor(rng.standard_normal((2, 5, 3)))
+        w_data = rng.standard_normal((3, 4))
+        g = rng.standard_normal((2, 5, 4))
+
+        def graph():
+            w = Tensor(w_data, requires_grad=True)
+            deep = ag.gelu(ag.matmul(x1, w))
+            return w, ag.add(ag.matmul(x2, w), deep)
+
+        w, out = graph()
+        handed = []
+        out.backward(g, on_leaf=lambda t: handed.append((t, t.grad)))
+        assert len(handed) == 1 and handed[0][0] is w
+        w_plain, out_plain = graph()
+        out_plain.backward(g)
+        assert np.array_equal(handed[0][1], w_plain.grad)
+        _, dx = gelu_reference(x1.data @ w_data)
+        want = (x1.data.T @ (g.sum(axis=0) * dx)
+                + x2.data.reshape(-1, 3).T @ g.reshape(-1, 4))
+        assert np.allclose(handed[0][1], want, rtol=1e-12, atol=1e-14)
+
+    def test_a_leaf_missing_from_adams_set_keeps_its_gradient(self):
+        rng = np.random.default_rng(42)
+        reg = enc.ParameterRegistry().allocate(
+            [enc.Param(n, (3, 2), "head", None, "zeros") for n in "ab"], seed=0)
+        for _, tensor in reg.items():
+            tensor.data[...] = rng.standard_normal((3, 2))
+        reg["b"].requires_grad = False
+        opt = Adam(reg, lr=1e-2)
+        reg["b"].requires_grad = True  # after the optimizer was built
+        a_data, b_data = reg["a"].data.copy(), reg["b"].data.copy()
+        x = Tensor(rng.standard_normal((4, 3)))
+        g = rng.standard_normal((4, 2))
+        ag.add(ag.matmul(x, reg["a"]), ag.matmul(x, reg["b"])).backward(
+            g, on_leaf=opt.update)
+        want, _, _ = adam_reference(a_data, np.zeros((3, 2)), np.zeros((3, 2)),
+                                    x.data.T @ g, 1, lr=1e-2)
+        assert reg["a"].grad is None
+        assert np.array_equal(reg["a"].data, want)
+        assert np.array_equal(reg["b"].grad, x.data.T @ g)
+        assert np.array_equal(reg["b"].data, b_data)
+        opt.step()
+        assert np.array_equal(reg["b"].data, b_data) and opt.t == 1
 
 
 class TestBatchAxis:

@@ -6,6 +6,7 @@ the whole-array form, at block edges and beyond.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ class TestBlockedGelu:
         out, grad = gelu_and_grad(v, g)
         want_out, want_dx = gelu_reference(v)
         assert out.shape == grad.shape == shape
-        assert np.array_equal(out, want_out)
+        assert out.tobytes() == want_out.tobytes()
         assert np.array_equal(grad, g * want_dx)
+        with ag.no_grad():  # the call that computes no derivative
+            assert ag.gelu(Tensor(v)).data.tobytes() == want_out.tobytes()
 
     @pytest.mark.parametrize("view", ["offset", "strided"])
     def test_bitwise_on_views(self, view):
@@ -61,6 +64,32 @@ class TestBlockedGelu:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * x.data.nbytes
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, 3 * BLOCK + 7])
+    def test_a_recorded_gelu_keeps_only_its_derivative(self, n):
+        rng = np.random.default_rng(n)
+        leaf = Tensor(rng.standard_normal(n) * 3.0, requires_grad=True)
+        x = ag.scale(leaf, 1.0)  # an activation, which only the tape could keep
+        kept = weakref.ref(x.data)
+        out = ag.gelu(x)
+        del x
+        assert kept() is None
+        g = rng.standard_normal(n)
+        out.backward(g)
+        assert np.array_equal(leaf.grad, g * gelu_reference(leaf.data)[1])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_no_grad_peak_is_its_output_and_one_block(self, n):
+        x = Tensor(np.random.default_rng(n).standard_normal(n))
+        tracemalloc.start()
+        try:
+            with ag.no_grad():
+                out = ag.gelu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 4 KiB for the Python objects: the Tensor, views and tuples
+        assert peak <= out.data.nbytes + 8 * min(n, BLOCK) + 4096
 
 
 class TestBlockedAdam:

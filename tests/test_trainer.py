@@ -1,13 +1,18 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 from peftlab import autograd as ag
 from peftlab import encoder as enc
+from peftlab import trainer
 from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, FreezePolicy,
                              desk_config)
-from peftlab.span import generate_dataset
+from peftlab.manifest import parse_manifest
+from peftlab.span import generate_dataset, stack
 from peftlab.trainer import (Adam, TrainConfig, TrainingDiverged, build_model,
-                             efficiency_ratio, evaluate, train)
+                             efficiency_ratio, evaluate, example_loss, train)
 
 import pinned_values
 from oracles import adam_reference
@@ -145,6 +150,69 @@ class TestAdam:
         assert np.array_equal(reg[name].data, old)
         Adam(reg, lr=1e-3).step()
         assert not np.array_equal(reg[name].data, old)
+
+
+DESK_SPECS = parse_manifest(os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "manifests", "desk.cfg"))
+
+
+def _reference_train(model, dataset, tc):
+    """``train`` as plain ``backward()`` and then one textbook Adam step per
+    trainable parameter. Returns the loss history and each one's (m, v)."""
+    params = model.registry.trainable_items()
+    state = {n: (np.zeros(t.shape), np.zeros(t.shape)) for n, t in params}
+    rng = np.random.default_rng(tc.seed)
+    history, step = [], 0
+    for epoch in range(tc.epochs):
+        order = rng.permutation(len(dataset))
+        for lo in range(0, len(dataset), tc.batch_size):
+            batch = stack([dataset[i] for i in order[lo:lo + tc.batch_size]])
+            loss = example_loss(model, batch)
+            loss.backward()
+            for name, tensor in params:
+                if tensor.grad is not None:
+                    data, m, v = adam_reference(tensor.data, *state[name],
+                                                tensor.grad, step + 1,
+                                                lr=tc.learning_rate)
+                    tensor.data[...], state[name] = data, (m, v)
+                    tensor.grad = None
+            history.append((step, epoch, loss.item()))
+            step += 1
+    return history, state
+
+
+class TestFusedUpdate:
+    """``train`` updates each weight during backward, as soon as its gradient
+    is complete; the result is bit for bit that of backward, then Adam."""
+
+    @pytest.mark.parametrize("spec", DESK_SPECS, ids=lambda s: s.label)
+    def test_equals_backward_then_reference_adam(self, spec, monkeypatch):
+        tc = dataclasses.replace(spec.train_config, epochs=2)
+        ds = generate_dataset(seed=1, count=20, seq_len=32,
+                              vocab_size=spec.encoder_config.vocab_size,
+                              unanswerable_fraction=1 / 3)
+        built = []
+
+        class Recorded(Adam):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(trainer, "Adam", Recorded)
+        fused = build_model(spec.encoder_config, spec.policy, spec.head, 0)
+        result = train(fused, ds, tc)
+        plain = build_model(spec.encoder_config, spec.policy, spec.head, 0)
+        history, state = _reference_train(plain, ds, tc)
+        assert result.loss_history == history
+        assert len(history) == 6
+        for name, tensor in fused.registry.items():
+            assert np.array_equal(tensor.data, plain.registry[name].data), name
+        opt, = built
+        assert opt.t == 6 and set(opt.m) == set(state)
+        for name, (m, v) in state.items():
+            assert np.array_equal(opt.m[name], m), name
+            assert np.array_equal(opt.v[name], v), name
 
 
 class _StubModel:
