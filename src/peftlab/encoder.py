@@ -203,6 +203,9 @@ class ParameterRegistry:
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
 
+    def __contains__(self, name):
+        return name in self._params
+
     def names(self):
         return list(self._params)
 
@@ -234,6 +237,9 @@ def build_encoder(config, seed, include_head=True):
 
 
 def _adapter(reg, prefix, z):
+    """z plus the adapter at ``prefix``, or z itself if the registry holds none."""
+    if f"{prefix}.down_w" not in reg:
+        return z
     down = ag.add(ag.matmul(z, reg[f"{prefix}.down_w"]), reg[f"{prefix}.down_b"])
     up = ag.add(ag.matmul(ag.gelu(down), reg[f"{prefix}.up_w"]), reg[f"{prefix}.up_b"])
     return ag.add(z, up)
@@ -248,40 +254,44 @@ def _attention(reg, config, prefix, x):
     return ag.add(ag.matmul(ctx, reg[f"{prefix}.o_w"]), reg[f"{prefix}.o_b"])
 
 
-def forward(registry, config, tokens, segments):
-    """Run the encoder on ids [..., L]; returns the [..., L, hidden_size] output.
+def embed(registry, config, tokens, segments):
+    """Layer-normed token + position + segment embeddings of ids [..., L]."""
+    def lookup(table, ids):
+        return ag.embedding_lookup(registry[f"embeddings.{table}"], ids)
 
-    Leading axes are a batch: every example in it is encoded independently.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    L = tokens.shape[-1]
+    L = np.shape(tokens)[-1]
     if L > config.max_seq_len:
         raise ValueError(f"sequence length {L} exceeds max {config.max_seq_len}")
+    x = ag.add(ag.add(lookup("token", tokens), lookup("position", np.arange(L))),
+               lookup("segment", segments))
+    return ag.layer_norm(x, registry["embeddings.ln_gain"],
+                         registry["embeddings.ln_bias"])
 
-    x = ag.add(
-        ag.add(
-            ag.embedding_lookup(registry["embeddings.token"], tokens),
-            ag.embedding_lookup(registry["embeddings.position"], np.arange(L)),
-        ),
-        ag.embedding_lookup(registry["embeddings.segment"], segments),
-    )
-    x = ag.layer_norm(x, registry["embeddings.ln_gain"], registry["embeddings.ln_bias"])
 
-    for i in range(config.num_layers):
+def layers(registry, config, x, lo, hi):
+    """Run layers lo .. hi-1 on x [..., L, H], each with the adapters it holds."""
+    if not 0 <= lo <= hi <= config.num_layers:
+        raise ValueError(f"layers {lo}..{hi} outside 0..{config.num_layers}")
+    for i in range(lo, hi):
         p = f"layer{i}"
-        attn = _attention(registry, config, f"{p}.attn", x)
-        if config.adapter is not None:
-            attn = _adapter(registry, f"{p}.adapter_attn", attn)
+        attn = _adapter(registry, f"{p}.adapter_attn",
+                        _attention(registry, config, f"{p}.attn", x))
         x = ag.layer_norm(ag.add(x, attn), registry[f"{p}.ln1_gain"],
                           registry[f"{p}.ln1_bias"])
         h = ag.gelu(ag.add(ag.matmul(x, registry[f"{p}.ffn.w1"]),
                            registry[f"{p}.ffn.b1"]))
-        ffn = ag.add(ag.matmul(h, registry[f"{p}.ffn.w2"]), registry[f"{p}.ffn.b2"])
-        if config.adapter is not None:
-            ffn = _adapter(registry, f"{p}.adapter_ffn", ffn)
+        ffn = _adapter(registry, f"{p}.adapter_ffn", ag.add(
+            ag.matmul(h, registry[f"{p}.ffn.w2"]), registry[f"{p}.ffn.b2"]))
         x = ag.layer_norm(ag.add(x, ffn), registry[f"{p}.ln2_gain"],
                           registry[f"{p}.ln2_bias"])
     return x
+
+
+def forward(registry, config, tokens, segments):
+    """Every layer over ``embed``: ids [..., L] -> [..., L, hidden_size], each
+    leading (batch) row encoded independently."""
+    return layers(registry, config, embed(registry, config, tokens, segments),
+                  0, config.num_layers)
 
 
 def start_end_logits(features, w, b):

@@ -1,10 +1,13 @@
 import os
+from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from peftlab import accounting, cacnn
+from peftlab import autograd as ag
 from peftlab import encoder as enc
 from peftlab.cacnn import CONTEXT_VECTOR, SIMPLIFIED, CacnnConfig
 from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, EncoderConfig,
@@ -12,7 +15,7 @@ from peftlab.encoder import (AFFINE_SPAN, AdapterConfig, EncoderConfig,
                              desk_config)
 from peftlab.manifest import parse_manifest
 from peftlab.trainer import Adam, TrainConfig, build_model, example_loss, train
-from peftlab.span import generate_dataset
+from peftlab.span import generate_dataset, stack
 
 from oracles import (build_cacnn_reference, build_encoder_reference,
                      span_loss_split_readout)
@@ -129,6 +132,151 @@ class TestForward:
             enc.forward(reg, TINY, np.array([1]), np.array([5]))
 
 
+def _layer_by_hand(reg, cfg, i, x, adapters):
+    """Encoder layer ``i`` written out op by op, with or without adapters."""
+    p = f"layer{i}"
+
+    def affine(z, w, b):
+        return ag.add(ag.matmul(z, reg[f"{p}.{w}"]), reg[f"{p}.{b}"])
+
+    def adapter(z, slot):
+        if not adapters:
+            return z
+        down = affine(z, f"{slot}.down_w", f"{slot}.down_b")
+        return ag.add(z, affine(ag.gelu(down), f"{slot}.up_w", f"{slot}.up_b"))
+
+    q, k, v = (affine(x, f"attn.{n}_w", f"attn.{n}_b") for n in "qkv")
+    attn = affine(ag.attention(q, k, v, cfg.num_heads), "attn.o_w", "attn.o_b")
+    x = ag.layer_norm(ag.add(x, adapter(attn, "adapter_attn")),
+                      reg[f"{p}.ln1_gain"], reg[f"{p}.ln1_bias"])
+    ffn = affine(ag.gelu(affine(x, "ffn.w1", "ffn.b1")), "ffn.w2", "ffn.b2")
+    return ag.layer_norm(ag.add(x, adapter(ffn, "adapter_ffn")),
+                         reg[f"{p}.ln2_gain"], reg[f"{p}.ln2_bias"])
+
+
+def _nonzero_adapters(reg, seed=0):
+    """Draw every adapter up-projection the registry holds away from zero,
+    so each adapter changes its sublayer's output."""
+    rng = np.random.default_rng(seed)
+    for name, t in reg.items():
+        if ".up_" in name:
+            t.data = rng.normal(0.0, 0.5, t.shape)
+    return reg
+
+
+# (config, examples, L): desk with and without adapters at batch 8, L = 64,
+# and a smaller batch through twelve desk-width layers
+SPLIT_CASES = [(desk_config(), 8, 64),
+               (desk_config(adapter=AdapterConfig(8)), 8, 64),
+               (replace(desk_config(), num_layers=12), 4, 32)]
+
+
+class TestLayerRange:
+    """``forward`` is ``layers(embed(...), 0, n)``, and a run of layers can be
+    cut anywhere: a cached frozen prefix or a per-layer timer relies on it."""
+
+    @pytest.mark.parametrize("cfg, count, length", SPLIT_CASES,
+                             ids=["desk", "desk-A8", "desk-12-layers"])
+    def test_split_at_every_layer_equals_forward_bitwise(self, cfg, count,
+                                                         length):
+        reg = _nonzero_adapters(build_encoder(cfg, seed=4))
+        batch = stack(generate_dataset(seed=0, count=count, seq_len=length,
+                                       vocab_size=64))
+        n = cfg.num_layers
+
+        def run(encode):
+            """Output bytes and every gradient of a span loss over it."""
+            for _, t in reg.items():
+                t.zero_grad()
+            out = encode()
+            loss = ag.cross_entropy_from_logits(
+                enc.span_head_logits(reg, out), batch.gold_span)
+            loss.backward()
+            return out.data.tobytes(), {name: t.grad.tobytes()
+                                        for name, t in reg.items()}
+
+        out, grads = run(lambda: enc.forward(reg, cfg, batch.tokens,
+                                             batch.segments))
+        for m in range(n + 1):
+            split_out, split_grads = run(lambda: enc.layers(
+                reg, cfg, enc.layers(reg, cfg, enc.embed(
+                    reg, cfg, batch.tokens, batch.segments), 0, m), m, n))
+            assert split_out == out, m
+            assert split_grads == grads, m
+
+    def test_a_no_grad_prefix_leaves_the_top_layers_gradients(self):
+        cfg = FOUR_LAYER_ADAPTER
+        reg = _nonzero_adapters(build_encoder(cfg, seed=4))
+        batch = stack(generate_dataset(seed=0, count=8, seq_len=64,
+                                       vocab_size=64))
+        n = cfg.num_layers
+
+        def top_grads(m):
+            for _, t in reg.items():
+                t.zero_grad()
+            with ag.no_grad():
+                x = enc.layers(reg, cfg, enc.embed(reg, cfg, batch.tokens,
+                                                   batch.segments), 0, m)
+            out = enc.layers(reg, cfg, x, m, n)
+            ag.cross_entropy_from_logits(enc.span_head_logits(reg, out),
+                                         batch.gold_span).backward()
+            return out.data.tobytes(), {
+                name: None if t.grad is None else t.grad.tobytes()
+                for name, t in reg.items()}
+
+        out, grads = top_grads(0)
+        for m in range(n + 1):
+            prefix_out, prefix_grads = top_grads(m)
+            assert prefix_out == out, m
+            for name, grad in prefix_grads.items():
+                p = reg.entry(name)
+                above = p.group == "head" or (p.layer is not None
+                                              and p.layer >= m)
+                assert grad == (grads[name] if above else None), (m, name)
+
+    @pytest.mark.parametrize("lo, hi", [(1, 0), (-1, 1), (0, 3), (2, 3)])
+    def test_a_range_outside_the_layers_is_rejected(self, lo, hi):
+        cfg = desk_config()
+        reg = build_encoder(cfg, seed=0)
+        x = enc.embed(reg, cfg, np.arange(8), np.zeros(8, dtype=int))
+        with pytest.raises(ValueError,
+                           match=rf"^layers {lo}\.\.{hi} outside 0\.\.2$"):
+            enc.layers(reg, cfg, x, lo, hi)
+
+    def test_embed_rejects_a_sequence_longer_than_max_seq_len(self):
+        reg = build_encoder(TINY, seed=0)
+        ids = np.zeros(13, dtype=int)
+        with pytest.raises(ValueError,
+                           match="^sequence length 13 exceeds max 12$"):
+            enc.embed(reg, TINY, ids, ids)
+
+
+class TestAdaptersFromTheRegistry:
+    """A layer runs the adapters the registry holds, whatever
+    ``config.adapter`` says: the schema alone places them."""
+
+    def test_a_layer_without_adapter_entries_runs_none(self):
+        a8 = desk_config(adapter=AdapterConfig(8))
+        schema = [p for p in enc.parameter_schema(a8)
+                  if not (p.group == "adapters" and p.layer == 0)]
+        reg = _nonzero_adapters(enc.ParameterRegistry().allocate(schema, 2))
+        assert "layer0.adapter_attn.down_w" not in reg
+        assert "layer1.adapter_attn.down_w" in reg
+        batch = stack(generate_dataset(seed=1, count=4, seq_len=64,
+                                       vocab_size=64))
+        x = enc.embed(reg, a8, batch.tokens, batch.segments)
+        by_hand = _layer_by_hand(reg, a8, 1, _layer_by_hand(
+            reg, a8, 0, x, adapters=False), adapters=True).data
+        for cfg in (a8, desk_config()):
+            out = enc.forward(reg, cfg, batch.tokens, batch.segments)
+            ops = Counter(n._backward.__qualname__.split(".")[0]
+                          for n in ag._toposort(out) if n._backward is not None)
+            # each layer: q, k, v, o, w1 and w2, and one ffn gelu; each
+            # adapter two matmuls and a gelu, layer 1's two adapters only
+            assert (ops["matmul"], ops["gelu"]) == (2 * 6 + 2 * 2, 2 + 2)
+            assert out.data.tobytes() == by_hand.tobytes()
+
+
 class TestFreezePolicy:
     def test_nothing_frozen_when_everything_trainable(self):
         reg = build_encoder(TINY, seed=0)
@@ -190,21 +338,47 @@ class TestFreezePolicy:
             enc.apply_freeze_policy(reg, TINY, FreezePolicy(99, False))
 
 
+# (config, examples, L) of the batched encoder stack pinned row by row: desk
+# width at 4,096 rows, and BERT-base width and heads over two layers
+ROW_CASES = {
+    "desk-64x64": (desk_config(adapter=AdapterConfig(4)), 64, 64),
+    "bert-width-4x128": (EncoderConfig(vocab_size=64, hidden_size=768,
+                                       num_layers=2, num_heads=12,
+                                       intermediate_size=3072,
+                                       max_seq_len=128), 4, 128),
+}
+
+
+@pytest.fixture(scope="module", params=list(ROW_CASES))
+def row_case(request):
+    cfg, count, length = ROW_CASES[request.param]
+    reg = build_encoder(cfg, seed=5, include_head=False)
+    batch = stack(generate_dataset(seed=3, count=count, seq_len=length,
+                                   vocab_size=64))
+    return cfg, reg, batch.tokens, batch.segments
+
+
 class TestBatchAxis:
-    def test_batched_forward_matches_per_example(self):
-        cfg = desk_config(adapter=AdapterConfig(4))
-        reg = build_encoder(cfg, seed=5)
-        ds = generate_dataset(seed=3, count=5, seq_len=20, vocab_size=64)
-        tokens = np.stack([ex.tokens for ex in ds])
-        segments = np.stack([ex.segments for ex in ds])
-        batched = enc.forward(reg, cfg, tokens, segments).data
-        for b in range(5):
-            one = enc.forward(reg, cfg, tokens[b], segments[b]).data
-            assert np.max(np.abs(batched[b] - one) / np.abs(one)) <= 1e-12
+    # a row of a batch is encoded bit for bit as that example alone, so a
+    # cached or re-chunked encoder output cannot move a loss; the span
+    # readout after it is not row-independent at every size (README)
+    @pytest.mark.parametrize("one_thread", [False, True],
+                             ids=["process-blas-threads", "one-blas-thread"])
+    def test_batched_forward_matches_per_example(self, row_case, one_thread):
+        cfg, reg, tokens, segments = row_case
+
+        def encode(t, s):
+            return enc.layers(reg, cfg, enc.embed(reg, cfg, t, s), 0,
+                              cfg.num_layers).data
+
+        threads = ag._one_blas_thread() if one_thread else nullcontext()
+        with ag.no_grad(), threads:
+            batched = encode(tokens, segments)
+            for b in range(len(tokens)):
+                assert batched[b].tobytes() == \
+                    encode(tokens[b], segments[b]).tobytes(), b
 
     def test_one_attention_node_per_layer_and_no_head_loop(self):
-        from peftlab import autograd as ag
-        from peftlab.span import stack
         cfg = desk_config()
         model = build_model(cfg, FreezePolicy(cfg.num_layers, True),
                             AFFINE_SPAN, 0)
@@ -223,8 +397,6 @@ class TestBatchAxis:
                              zip(DESK_SPECS, [47, 42, 42, 66, 52]),
                              ids=[s.label for s in DESK_SPECS])
     def test_nodes_per_training_step(self, spec, nodes):
-        from peftlab import autograd as ag
-        from peftlab.span import stack
         model = build_model(spec.encoder_config, spec.policy, spec.head, 0)
         ds = generate_dataset(seed=0, count=8, seq_len=64, vocab_size=64)
         loss = example_loss(model, stack(ds))
@@ -240,8 +412,6 @@ class TestBatchAxis:
                                              for k in range(5)])
     def test_every_attention_node_has_q_k_and_v_as_parents(
             self, config, policy, head):
-        from peftlab import autograd as ag
-        from peftlab.span import stack
         model = build_model(config, policy, head, 0)
         ds = generate_dataset(seed=0, count=8, seq_len=32, vocab_size=64)
         loss = example_loss(model, stack(ds))
@@ -267,7 +437,6 @@ class TestSpanReadout:
     @pytest.mark.parametrize("head", [AFFINE_SPAN, *CACNN_VARIANTS],
                              ids=["affine", "context_vector", "simplified"])
     def test_same_logits_and_gradients_as_the_split_readout(self, head):
-        from peftlab.span import stack
         cfg = desk_config()
         model = build_model(cfg, FreezePolicy(cfg.num_layers, True), head, 0)
         batch = stack(generate_dataset(seed=0, count=8, seq_len=64,
@@ -464,7 +633,6 @@ class TestHeadInterface:
     ], ids=["affine", "context_vector", "simplified"])
     def test_span_logits_calls_each_wrappable_function_once(
             self, monkeypatch, head, reached):
-        from peftlab.span import stack
         model = build_model(desk_config(), FreezePolicy(0, False), head, 0)
         calls = []
         for owner, attr in ((enc, "forward"), (enc, "span_head_logits"),

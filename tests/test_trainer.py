@@ -263,6 +263,29 @@ class TestEvaluate:
         assert t_large > t_small
 
 
+class TestTracedEncoder:
+    """bench/tracing.py times the encoder by replacing ``encoder.forward`` on
+    the module; its ``encoder.forward_ms.grad`` and ``.nograd`` rows are the
+    calls ``train`` and ``evaluate`` make through that attribute, so a
+    direct call to ``embed`` or ``layers`` would leave them empty."""
+
+    def test_train_and_evaluate_reach_encoder_forward_once_per_batch(
+            self, monkeypatch):
+        model, ds = small_setup(count=24)
+        grad_modes = []
+
+        def counting(*args, real=enc.forward):
+            grad_modes.append(ag._grad_enabled)
+            return real(*args)
+
+        monkeypatch.setattr(enc, "forward", counting)
+        train(model, ds, TrainConfig(batch_size=8, epochs=1))
+        assert grad_modes == [True] * 3
+        grad_modes.clear()
+        evaluate(model, ds, TrainConfig(batch_size=8))
+        assert grad_modes == [False] * 3
+
+
 @pytest.mark.parametrize("max_answer_len", [0, -5])
 def test_train_config_rejects_a_max_answer_len_below_1(max_answer_len):
     with pytest.raises(ValueError, match=f"^max_answer_len must be >= 1, got "
